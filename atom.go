@@ -315,25 +315,6 @@ func (n *Network) EntryKey(gid int) ([]byte, error) {
 	return pk.Bytes(), nil
 }
 
-// TrusteeKey returns the wire encoding of the current round's trustee
-// key (trap variant only). Rounds opened with OpenRound carry their
-// own key — use Round.TrusteeKey for those.
-func (n *Network) TrusteeKey() ([]byte, error) {
-	pk, err := n.d.TrusteePK()
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return pk.Bytes(), nil
-}
-
-// SubmitEncoded accepts a wire-encoded submission produced by
-// Client.EncryptSubmission — the path cmd/atomd uses for remote users.
-// It targets the implicit current round; Round.SubmitEncoded is the
-// same operation on an explicit round.
-func (n *Network) SubmitEncoded(user int, wire []byte) error {
-	return wrapErr(n.d.CurrentRound().SubmitEncoded(user, wire))
-}
-
 // FailServer simulates a crash of the given server everywhere it
 // serves; it returns the affected group ids.
 func (n *Network) FailServer(server int) []int { return n.d.FailServer(server) }

@@ -1,6 +1,8 @@
 package atom
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -68,7 +70,7 @@ func TestPublicAPITrapRound(t *testing.T) {
 }
 
 func TestPublicAPIEncodedSubmissionRoundTrip(t *testing.T) {
-	// The remote-client path: Client encrypts locally, the network
+	// The remote-client path: Client encrypts locally, an opened round
 	// accepts the wire form. Both variants.
 	for _, v := range []Variant{NIZK, Trap} {
 		cfg := testNetworkConfig(v, 32)
@@ -84,9 +86,13 @@ func TestPublicAPIEncodedSubmissionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r, err := n.OpenRound(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		var trustee []byte
 		if v == Trap {
-			if trustee, err = n.TrusteeKey(); err != nil {
+			if trustee, err = r.TrusteeKey(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -94,20 +100,20 @@ func TestPublicAPIEncodedSubmissionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.SubmitEncoded(7, wire); err != nil {
+		if err := r.SubmitEncoded(7, wire); err != nil {
 			t.Fatal(err)
 		}
 		// Replay of the same wire bytes must be rejected.
-		if err := n.SubmitEncoded(8, wire); err == nil {
+		if err := r.SubmitEncoded(8, wire); err == nil {
 			t.Fatalf("variant %v: replayed submission accepted", v)
 		}
-		// Fill remaining groups so batches divide evenly, then run.
+		// Fill remaining groups so batches divide evenly, then mix.
 		for u := 0; u < 8; u++ {
-			if err := n.SubmitMessage(u, []byte(fmt.Sprintf("filler %d", u))); err != nil {
+			if err := r.Submit(u, []byte(fmt.Sprintf("filler %d", u))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, err := n.Run()
+		res, err := r.Mix(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,9 +333,13 @@ func TestPublicAPISwitchVariant(t *testing.T) {
 	if len(res.Messages) != 8 {
 		t.Fatalf("%d messages after fallback", len(res.Messages))
 	}
-	// Trustee key must be gone in NIZK mode.
-	if _, err := n.TrusteeKey(); err == nil {
-		t.Fatal("NIZK network still advertises a trustee key")
+	// Rounds opened after the fallback carry no trustee key.
+	r, err := n.OpenRound(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.TrusteeKey(); !errors.Is(err, ErrVariantMismatch) {
+		t.Fatalf("NIZK round trustee key: got %v, want ErrVariantMismatch", err)
 	}
 }
 

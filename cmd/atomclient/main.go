@@ -1,16 +1,12 @@
 // Command atomclient is the user side of an atomd deployment: it
-// fetches the round's public keys, performs all cryptography locally
-// (padding, onion encryption, proof of plaintext knowledge, and — in
-// the trap variant — trap generation and commitment), ships the opaque
-// submission, and can trigger and print a round. Every request is
-// bounded by -timeout, so a dead daemon fails fast instead of hanging.
+// fetches the deployment's public keys, performs all cryptography
+// locally (padding, onion encryption, proof of plaintext knowledge,
+// and — in the trap variant — trap generation and commitment), ships
+// the opaque submissions, and can trigger and print a round. Every
+// request is bounded by -timeout, so a dead daemon fails fast instead
+// of hanging.
 //
-// One-round-at-a-time (legacy surface):
-//
-//	atomclient -server host:9000 -user 3 -submit "hello world"
-//	atomclient -server host:9000 -run
-//
-// Pipelined rounds: open a round (printing its id and, in the trap
+// Explicit rounds: open a round (printing its id and, in the trap
 // variant, its trustee key), submit into a specific round — possibly
 // while an earlier one mixes — then mix it:
 //
@@ -21,21 +17,13 @@
 // Batch submission drives load from one process over one connection:
 // -count replicates -submit, -submit-file reads one message per line,
 // and users count up from -user. Against an atomd -serve deployment,
-// -ingest targets whichever round the continuous service has open
-// (re-fetching when a round seals mid-batch) and -await waits for the
-// batch's round to publish:
+// -ingest pipelines the batch over the daemon's multiplexed fast path
+// (the address Info advertises) into whichever round the continuous
+// service has open, re-encrypting for the successor when a round seals
+// mid-batch; -await waits for the batch's rounds to publish:
 //
-//	atomclient -server host:9000 -submit "load %d" -count 256 -ingest -await
+//	atomclient -server host:9000 -submit "load %d" -count 4096 -ingest -await
 //	atomclient -server host:9000 -submit-file messages.txt -ingest
-//
-// With -fast the batch rides the daemon's multiplexed binary submit
-// path instead of one gob RPC per message: submissions are pipelined
-// over a single connection and verdicts arrive as coalesced async acks,
-// so one process drives thousands of logical users at wire speed. The
-// daemon advertises the fast-path address through Info (atomd
-// -fastpath); -fast requires -ingest:
-//
-//	atomclient -server host:9000 -submit "load %d" -count 4096 -ingest -fast -await
 package main
 
 import (
@@ -45,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -59,24 +48,19 @@ func main() {
 		server  = flag.String("server", "127.0.0.1:9000", "atomd address")
 		user    = flag.Int("user", 0, "user id (picks the entry group: user mod G)")
 		submit  = flag.String("submit", "", "message to submit")
-		run     = flag.Bool("run", false, "trigger the legacy blocking round and print results")
 		open    = flag.Bool("open", false, "open a new round and print its id")
-		round   = flag.Uint64("round", 0, "round id for -submit/-mix (0 = the daemon's current round)")
+		round   = flag.Uint64("round", 0, "round id for -submit/-mix")
 		mix     = flag.Bool("mix", false, "mix the round given by -round and print results")
 		tkey    = flag.String("trusteekey", "", "hex trustee key of the target round (trap variant, with -round)")
 		timeout = flag.Duration("timeout", 2*time.Minute, "per-request deadline")
 		count   = flag.Int("count", 1, "batch mode: submit this many copies of -submit (a %d in the text becomes the message index)")
 		file    = flag.String("submit-file", "", "batch mode: submit every line of this file as one message")
-		ingest  = flag.Bool("ingest", false, "target the continuous service's open round (atomd -serve)")
-		await   = flag.Bool("await", false, "with -ingest: wait for the submitted round to publish and print it")
-		fast    = flag.Bool("fast", false, "with -ingest: pipeline the batch over the daemon's binary submit path (atomd -fastpath)")
+		ingest  = flag.Bool("ingest", false, "pipeline the batch over the fast path into the continuous service's open round (atomd -serve)")
+		await   = flag.Bool("await", false, "with -ingest: wait for the submitted rounds to publish and print them")
 	)
 	flag.Parse()
-	if *fast && !*ingest {
-		log.Fatal("atomclient: -fast needs -ingest (the fast path feeds the continuous service)")
-	}
-	if *submit == "" && *file == "" && !*run && !*open && !*mix {
-		log.Fatal("atomclient: nothing to do (use -open, -submit, -submit-file, -mix and/or -run)")
+	if *submit == "" && *file == "" && !*open && !*mix {
+		log.Fatal("atomclient: nothing to do (use -open, -submit, -submit-file and/or -mix)")
 	}
 
 	ctx := context.Background()
@@ -131,12 +115,7 @@ func main() {
 		if *ingest {
 			// Continuous service: submit the batch into whichever round
 			// is open, re-fetching when a seal lands mid-batch.
-			var published []uint64
-			if *fast {
-				published = fastIngestBatch(ctx, info, ac, *user, msgs, *timeout)
-			} else {
-				published = ingestBatch(ctx, cli, ac, info, *user, msgs, *timeout)
-			}
+			published := ingestBatch(ctx, info, *server, ac, *user, msgs, *timeout)
 			if *await {
 				for _, rid := range published {
 					rctx, cancel := withDeadline()
@@ -150,17 +129,17 @@ func main() {
 				}
 			}
 		} else {
-			// One-shot rounds: the legacy current round, or an explicit
-			// open round. Trustee keys are per-round: a submission must
-			// encrypt against the key of the round it targets. The
-			// current round's key comes from info; an explicitly opened
-			// round's from the open reply or the -trusteekey flag.
-			trusteeKey := info.TrusteeKey
+			// An explicit round. Trustee keys are per-round: a submission
+			// must encrypt against the key of the round it targets — the
+			// open reply's, or the -trusteekey flag's.
 			target := *round
-			if opened != nil {
-				target = opened.ID
-				trusteeKey = opened.TrusteeKey
-			} else if target != 0 && info.Trap {
+			var trusteeKey []byte
+			switch {
+			case opened != nil:
+				target, trusteeKey = opened.ID, opened.TrusteeKey
+			case target == 0:
+				log.Fatal("atomclient: -submit needs -open, -round or -ingest")
+			case info.Trap:
 				if *tkey == "" {
 					log.Fatal("atomclient: -round submissions on a trap deployment need -trusteekey (printed by -open)")
 				}
@@ -168,20 +147,21 @@ func main() {
 					log.Fatalf("atomclient: bad -trusteekey: %v", err)
 				}
 			}
-			ri := &daemon.RoundInfo{ID: target, TrusteeKey: trusteeKey}
-			submitFn := cli.SubmitRound
-			if target == 0 {
-				submitFn = func(ctx context.Context, _ uint64, user int, wire []byte) error {
-					return cli.Submit(ctx, user, wire)
+			for i, m := range msgs {
+				u := *user + i
+				gid := u % info.Groups
+				wire, err := ac.EncryptSubmission(m, info.EntryKeys[gid], trusteeKey, gid)
+				if err != nil {
+					log.Fatalf("atomclient: encrypting for user %d: %v", u, err)
+				}
+				rctx, cancel := withDeadline()
+				err = cli.SubmitRound(rctx, target, u, wire)
+				cancel()
+				if err != nil {
+					log.Fatalf("atomclient: submitting (after %d accepted): %v", i, err)
 				}
 			}
-			rctx, cancel := context.WithTimeout(ctx, *timeout*time.Duration(len(msgs)))
-			n, err := daemon.SubmitBatch(rctx, ac, info, ri, *user, msgs, submitFn)
-			cancel()
-			if err != nil {
-				log.Fatalf("atomclient: submitting (after %d accepted): %v", n, err)
-			}
-			fmt.Printf("submitted %d message(s) as users %d..%d\n", n, *user, *user+n-1)
+			fmt.Printf("submitted %d message(s) as users %d..%d\n", len(msgs), *user, *user+len(msgs)-1)
 		}
 	}
 
@@ -198,16 +178,6 @@ func main() {
 		cancel()
 		if err != nil {
 			log.Fatalf("atomclient: mixing round %d: %v", target, err)
-		}
-		printMessages(msgs)
-	}
-
-	if *run {
-		rctx, cancel := withDeadline()
-		msgs, err := cli.RunRound(rctx)
-		cancel()
-		if err != nil {
-			log.Fatalf("atomclient: round: %v", err)
 		}
 		printMessages(msgs)
 	}
@@ -250,56 +220,20 @@ func buildBatch(submit, file string, count int) [][]byte {
 	return msgs
 }
 
-// ingestBatch drives a batch into the continuous service: it fetches
-// the open round, submits until the round seals underneath it, then
-// re-fetches and continues — returning every round id the batch landed
-// in, in order.
-func ingestBatch(ctx context.Context, cli *daemon.Client, ac *atom.Client, info *daemon.Info,
-	base int, msgs [][]byte, timeout time.Duration) []uint64 {
-	var published []uint64
-	remaining := msgs
-	user := base
-	for len(remaining) > 0 {
-		rctx, cancel := context.WithTimeout(ctx, timeout)
-		ri, err := cli.ServeInfo(rctx)
-		cancel()
-		if err != nil {
-			log.Fatalf("atomclient: fetching open round: %v", err)
-		}
-		rctx, cancel = context.WithTimeout(ctx, timeout*time.Duration(len(remaining)))
-		n, err := daemon.SubmitBatch(rctx, ac, info, ri, user, remaining, func(ctx context.Context, round uint64, user int, wire []byte) error {
-			_, serr := cli.SubmitInto(ctx, round, user, wire)
-			return serr
-		})
-		cancel()
-		if n > 0 {
-			fmt.Printf("submitted %d message(s) into round %d\n", n, ri.ID)
-			if len(published) == 0 || published[len(published)-1] != ri.ID {
-				published = append(published, ri.ID)
-			}
-		}
-		user += n
-		remaining = remaining[n:]
-		if err != nil && !errors.Is(err, atom.ErrRoundClosed) {
-			log.Fatalf("atomclient: submitting (after %d accepted): %v", len(msgs)-len(remaining), err)
-		}
-	}
-	return published
-}
-
-// fastIngestBatch drives a batch through the daemon's multiplexed
-// binary submit path: every message is encrypted for the open round and
-// pipelined over one connection, verdicts arrive as async acks, and
-// anything rejected because its round sealed mid-flight is retried
-// against the successor. Returns every round id the batch landed in.
-func fastIngestBatch(ctx context.Context, info *daemon.Info, ac *atom.Client,
+// ingestBatch drives a batch through the daemon's multiplexed fast
+// path: every message is encrypted for the open round and pipelined
+// over one connection, verdicts arrive as async acks, and anything
+// rejected because its round sealed mid-flight is retried against the
+// successor. Returns every round id the batch landed in.
+func ingestBatch(ctx context.Context, info *daemon.Info, server string, ac *atom.Client,
 	base int, msgs [][]byte, timeout time.Duration) []uint64 {
 	if info.SubmitAddr == "" {
-		log.Fatal("atomclient: the daemon advertises no fast path (start atomd with -fastpath)")
+		log.Fatal("atomclient: the daemon advertises no fast path (start atomd with -serve)")
 	}
-	fc, err := daemon.DialFast(info.SubmitAddr)
+	addr := dialable(info.SubmitAddr, server)
+	fc, err := daemon.DialFast(addr)
 	if err != nil {
-		log.Fatalf("atomclient: dialing fast path %s: %v", info.SubmitAddr, err)
+		log.Fatalf("atomclient: dialing fast path %s: %v", addr, err)
 	}
 	defer fc.Close()
 
@@ -312,7 +246,6 @@ func fastIngestBatch(ctx context.Context, info *daemon.Info, ac *atom.Client,
 		pending[i] = item{base + i, m}
 	}
 	var published []uint64
-	seen := map[uint64]bool{}
 	for len(pending) > 0 {
 		rctx, cancel := context.WithTimeout(ctx, timeout)
 		ri, err := fc.ServeInfo(rctx)
@@ -321,7 +254,6 @@ func fastIngestBatch(ctx context.Context, info *daemon.Info, ac *atom.Client,
 			log.Fatalf("atomclient: fetching open round: %v", err)
 		}
 		errs := make([]error, len(pending))
-		rounds := make([]uint64, len(pending))
 		var wg sync.WaitGroup
 		for i, it := range pending {
 			gid := it.user % info.Groups
@@ -330,9 +262,8 @@ func fastIngestBatch(ctx context.Context, info *daemon.Info, ac *atom.Client,
 				log.Fatalf("atomclient: encrypting for user %d: %v", it.user, err)
 			}
 			wg.Add(1)
-			i := i
-			fc.Submit(ri.ID, it.user, wire, func(round uint64, err error) {
-				rounds[i], errs[i] = round, err
+			fc.Submit(ri.ID, it.user, wire, func(_ uint64, err error) {
+				errs[i] = err
 				wg.Done()
 			})
 		}
@@ -352,10 +283,6 @@ func fastIngestBatch(ctx context.Context, info *daemon.Info, ac *atom.Client,
 			switch {
 			case e == nil:
 				admitted++
-				if !seen[rounds[i]] {
-					seen[rounds[i]] = true
-					published = append(published, rounds[i])
-				}
 			case errors.Is(e, atom.ErrRoundClosed):
 				retry = append(retry, pending[i])
 			default:
@@ -363,11 +290,24 @@ func fastIngestBatch(ctx context.Context, info *daemon.Info, ac *atom.Client,
 			}
 		}
 		if admitted > 0 {
-			fmt.Printf("submitted %d message(s) into round %d over the fast path\n", admitted, ri.ID)
+			// Submissions are pinned, so every admission is into ri.
+			published = append(published, ri.ID)
+			fmt.Printf("submitted %d message(s) into round %d\n", admitted, ri.ID)
 		}
 		pending = retry
 	}
 	return published
+}
+
+// dialable resolves an advertised listener address: one bound to every
+// interface names no host, so it is reached at the daemon's own host.
+func dialable(advertised, server string) string {
+	host, port, err := net.SplitHostPort(advertised)
+	shost, _, serr := net.SplitHostPort(server)
+	if err != nil || serr != nil || (host != "" && !net.ParseIP(host).IsUnspecified()) {
+		return advertised
+	}
+	return net.JoinHostPort(shost, port)
 }
 
 func printMessages(msgs [][]byte) {

@@ -12,8 +12,10 @@
 // pipeline: submissions are admitted into whichever round is open
 // (proof verification and duplicate rejection at admission time), the
 // round scheduler seals at -interval or -capacity, and sealed rounds
-// mix back to back with up to -inflight in flight. Clients then use the
-// serve-mode surface (atomclient -ingest):
+// mix back to back with up to -inflight in flight. Submissions arrive
+// over the multiplexed fast-path listener (-fastpath, by default an
+// ephemeral port on the -listen host), whose address Info advertises
+// to clients (atomclient -ingest):
 //
 //	atomd -listen :9000 -serve -interval 500ms -capacity 1024
 //
@@ -116,7 +118,7 @@ func main() {
 		prewarmN    = flag.Int("prewarm", 0, "-serve: keep re-encryption pads banked offline for rounds of up to this many vectors (0 = off; consumed by the in-process mixer)")
 		membersF    = flag.String("members", "", "comma-separated addresses of pre-started atomd -member hosts, GID-major (g0/m0,g0/m1,…): coordinate distributed rounds over them instead of mixing in-process")
 		chunkSz     = flag.Int("chunk", 0, "-members: stream each re-encryption chain in chunks of at most this many vectors per destination batch (0 = whole batches)")
-		fastAddr    = flag.String("fastpath", "", "-serve: multiplexed binary submit listener address (\":0\" = ephemeral; advertised to clients via Info)")
+		fastAddr    = flag.String("fastpath", "", "-serve: multiplexed binary submit listener address, advertised to clients via Info (empty = the -listen host on an ephemeral port)")
 		stateDir    = flag.String("state-dir", "", "persist durable state (journal + snapshots) here and resume from it on restart")
 		dkgMode     = flag.Bool("dkg", false, "establish trust with the dealerless setup ceremony: per-group joint-Feldman DKGs and a chained verifiable randomness beacon (persisted and resumed with -state-dir)")
 		dkgWindow   = flag.Duration("dkg-window", 500*time.Millisecond, "-dkg: per-phase ceremony message window (honest phases early-advance; this bounds the straggler wait)")
@@ -294,7 +296,7 @@ func main() {
 	if *serve {
 		// Continuous mode: the round scheduler seals at -interval (or
 		// -capacity) and rounds mix back to back, up to -inflight
-		// concurrently; clients use ServeInfo/SubmitInto/Await. With a
+		// concurrently; clients submit over the fast path and Await. With a
 		// state dir the pipeline journals through it: seals before
 		// dispatch, outcomes on publish, pending rounds re-dispatched at
 		// the next start.
@@ -333,16 +335,17 @@ func main() {
 		}
 		log.Printf("atomd: continuous service up (interval %v, capacity %d, %d rounds in flight)",
 			*interval, *capacity, *inflight)
-	}
-	if *fastAddr != "" {
-		if !*serve {
-			log.Printf("atomd: -fastpath without -serve: submissions will be rejected until a service runs")
+		addr := *fastAddr
+		if addr == "" {
+			// -listen already bound successfully, so it splits.
+			host, _, _ := net.SplitHostPort(*listen)
+			addr = net.JoinHostPort(host, "0")
 		}
-		fa, err := srv.EnableFastPath(*fastAddr, daemon.FastPathOptions{Metrics: m})
+		fa, err := srv.EnableFastPath(addr, daemon.FastPathOptions{Metrics: m})
 		if err != nil {
 			log.Fatalf("atomd: fast path listener: %v", err)
 		}
-		log.Printf("atomd: binary submit path on %s", fa)
+		log.Printf("atomd: fast path on %s", fa)
 	}
 	fmt.Printf("atomd: serving on %s\n", srv.Addr())
 

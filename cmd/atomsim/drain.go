@@ -105,16 +105,23 @@ func runDrain(clients, conns, workers, prewarm, chunk int, memnet bool, wanMin, 
 
 	// Pre-encrypt the whole batch against the open round's trustee key
 	// (trap submissions bind to the round), client crypto off the clock.
-	gob, err := daemon.Dial(srv.Addr())
+	cli, err := daemon.Dial(srv.Addr())
 	if err != nil {
 		return err
 	}
-	defer gob.Close()
-	info, err := gob.Info(ctx)
+	defer cli.Close()
+	info, err := cli.Info(ctx)
 	if err != nil {
 		return err
 	}
-	ri, err := gob.ServeInfo(ctx)
+	fasts := make([]*daemon.FastClient, conns)
+	for c := range fasts {
+		if fasts[c], err = daemon.DialFast(addr); err != nil {
+			return err
+		}
+		defer fasts[c].Close()
+	}
+	ri, err := fasts[0].ServeInfo(ctx)
 	if err != nil {
 		return err
 	}
@@ -135,14 +142,6 @@ func runDrain(clients, conns, workers, prewarm, chunk int, memnet bool, wanMin, 
 		}
 	}
 	fmt.Printf("pregen: %d trap submissions in %v\n", clients, time.Since(pregenStart).Round(10*time.Millisecond))
-
-	fasts := make([]*daemon.FastClient, conns)
-	for c := range fasts {
-		if fasts[c], err = daemon.DialFast(addr); err != nil {
-			return err
-		}
-		defer fasts[c].Close()
-	}
 
 	// Flood: the last admission trips the batch cap and seals the round,
 	// so admission speed sets the drain's starting line.

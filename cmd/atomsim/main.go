@@ -29,8 +29,9 @@
 // deployment with its ingestion frontend enabled, the mixing runs as
 // distributed actors over the latency-modeled in-memory network with
 // cross-round pipelining (round r+1 enters layer 0 while round r
-// traverses later layers), and a synthetic client fleet submits
-// wire-encoded batches over TCP, driving -rounds back-to-back rounds.
+// traverses later layers), and a synthetic client fleet pipelines
+// wire-encoded batches over the daemon's fast path, driving -rounds
+// back-to-back rounds.
 // The report gives per-round latency, the observed cross-round overlap,
 // and the sustained throughput (msgs/sec, rounds/min).
 //
@@ -587,8 +588,9 @@ func runCrash(msgs, workers int) error {
 // runServe drives the continuous service end to end: a daemon with the
 // ingestion frontend enabled, the distributed cluster (WAN-latency
 // memnet actors, cross-round pipelining) as its mixing engine, and a
-// synthetic two-connection client fleet submitting wire-encoded batches
-// over TCP until nRounds rounds have published back to back.
+// synthetic two-connection client fleet pipelining wire-encoded batches
+// over the daemon's fast path until nRounds rounds have published back
+// to back.
 func runServe(nRounds, perRound int, nizk bool, workers, inflight, chunk int, interval, wanMin, wanMax time.Duration) error {
 	variant, vname := atom.Trap, "trap"
 	if nizk {
@@ -671,22 +673,31 @@ func runServe(nRounds, perRound int, nizk bool, workers, inflight, chunk int, in
 		return err
 	}
 	go srv.Serve()
+	if _, err := srv.EnableFastPath("127.0.0.1:0", daemon.FastPathOptions{}); err != nil {
+		return err
+	}
 
 	fmt.Printf("continuous service: %d rounds × %d msgs, %s variant, T=%d, %d in flight, WAN %v–%v\n",
 		nRounds, perRound, vname, cfg.Iterations, inflight, wanMin, wanMax)
 
-	// The fleet: two client connections sharing each round's batch.
-	const fleet = 2
-	clients := make([]*daemon.Client, fleet)
-	for i := range clients {
-		if clients[i], err = daemon.Dial(srv.Addr()); err != nil {
-			return err
-		}
-		defer clients[i].Close()
-	}
-	info, err := clients[0].Info(ctx)
+	// The fleet: two fast-path connections sharing each round's batch,
+	// plus a control-plane client for keys and publications.
+	cli, err := daemon.Dial(srv.Addr())
 	if err != nil {
 		return err
+	}
+	defer cli.Close()
+	info, err := cli.Info(ctx)
+	if err != nil {
+		return err
+	}
+	const fleet = 2
+	fasts := make([]*daemon.FastClient, fleet)
+	for i := range fasts {
+		if fasts[i], err = daemon.DialFast(info.SubmitAddr); err != nil {
+			return err
+		}
+		defer fasts[i].Close()
 	}
 	enc, err := atom.NewClient(atom.Config{
 		Servers: 1, Groups: info.Groups, GroupSize: 1,
@@ -703,7 +714,7 @@ func runServe(nRounds, perRound int, nizk bool, workers, inflight, chunk int, in
 		// one, the scheduler rotates within microseconds — spin briefly.
 		var ri *daemon.RoundInfo
 		for {
-			if ri, err = clients[0].ServeInfo(ctx); err != nil {
+			if ri, err = fasts[0].ServeInfo(ctx); err != nil {
 				return err
 			}
 			if len(roundIDs) == 0 || ri.ID != roundIDs[len(roundIDs)-1] {
@@ -712,30 +723,29 @@ func runServe(nRounds, perRound int, nizk bool, workers, inflight, chunk int, in
 			time.Sleep(time.Millisecond)
 		}
 		roundIDs = append(roundIDs, ri.ID)
-		var wg sync.WaitGroup
-		errs := make([]error, fleet)
-		per := perRound / fleet
-		for c := 0; c < fleet; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				n := per
-				if c == fleet-1 {
-					n = perRound - per*(fleet-1)
-				}
-				base := r*perRound + c*per
-				msgs := make([][]byte, n)
-				for i := range msgs {
-					msgs[i] = fmt.Appendf(nil, "serve r%02d u%03d", r, base+i)
-				}
-				_, errs[c] = daemon.SubmitBatch(ctx, enc, info, ri, base, msgs,
-					func(ctx context.Context, round uint64, user int, wire []byte) error {
-						_, serr := clients[c].SubmitInto(ctx, round, user, wire)
-						return serr
-					})
-			}(c)
+		// Each connection pipelines its share of the batch, pinned to
+		// the round whose trustee key it was encrypted for.
+		errs := make([]error, perRound)
+		var acks sync.WaitGroup
+		acks.Add(perRound)
+		for u := 0; u < perRound; u++ {
+			user := r*perRound + u
+			gid := user % info.Groups
+			wire, err := enc.EncryptSubmission(fmt.Appendf(nil, "serve r%02d u%03d", r, user), info.EntryKeys[gid], ri.TrusteeKey, gid)
+			if err != nil {
+				return err
+			}
+			fasts[u%fleet].Submit(ri.ID, user, wire, func(_ uint64, err error) {
+				errs[u] = err
+				acks.Done()
+			})
 		}
-		wg.Wait()
+		for _, fc := range fasts {
+			if err := fc.Flush(); err != nil {
+				return err
+			}
+		}
+		acks.Wait()
 		for _, e := range errs {
 			if e != nil {
 				return fmt.Errorf("fleet submission into round %d: %w", ri.ID, e)
@@ -746,7 +756,7 @@ func runServe(nRounds, perRound int, nizk bool, workers, inflight, chunk int, in
 	// Collect every round's publication over the wire.
 	total := 0
 	for _, rid := range roundIDs {
-		msgs, err := clients[0].Await(ctx, rid)
+		msgs, err := cli.Await(ctx, rid)
 		if err != nil {
 			return fmt.Errorf("awaiting round %d: %w", rid, err)
 		}

@@ -97,12 +97,12 @@ func runStorm(clients, conns int, rate float64, arrival string, timeout time.Dur
 	fmt.Println()
 
 	// Pre-encrypt the whole pool: one distinct submission per client.
-	gob, err := daemon.Dial(srv.Addr())
+	cli, err := daemon.Dial(srv.Addr())
 	if err != nil {
 		return err
 	}
-	defer gob.Close()
-	info, err := gob.Info(ctx)
+	defer cli.Close()
+	info, err := cli.Info(ctx)
 	if err != nil {
 		return err
 	}

@@ -8,8 +8,19 @@ import (
 	"atom"
 )
 
+// statusRoundTrip sends err through the wire status encoding that
+// control-plane replies and fast-path acks share.
+func statusRoundTrip(err error) error {
+	r := wireReader{b: appendStatus(nil, err)}
+	back := r.status()
+	if !r.done() {
+		return fmt.Errorf("status encoding of %v did not decode", err)
+	}
+	return back
+}
+
 // TestErrorKindRoundTrip drives every sentinel with a dedicated wire
-// kind through the classification and back: the client-side rebuild
+// kind through the status encoding and back: the client-side rebuild
 // must satisfy errors.Is for the same sentinel (and, via the sentinel
 // wrapping, its taxonomy parents), so a daemon hop never downgrades a
 // typed error to a bare string.
@@ -36,7 +47,7 @@ func TestErrorKindRoundTrip(t *testing.T) {
 			t.Errorf("%v classified as generic/none", sentinel)
 			continue
 		}
-		rebuilt := unclassify(kind, wrapped.Error())
+		rebuilt := statusRoundTrip(wrapped)
 		if !errors.Is(rebuilt, sentinel) {
 			t.Errorf("unclassify(classify(%v)) = %v, loses the sentinel", sentinel, rebuilt)
 		}
@@ -44,9 +55,12 @@ func TestErrorKindRoundTrip(t *testing.T) {
 	// ErrMemberLost has no dedicated kind; it must still cross the wire
 	// as its typed ErrRoundAborted parent, never as a generic error.
 	lost := fmt.Errorf("%w: server 7", atom.ErrMemberLost)
-	rebuilt := unclassify(classify(lost), lost.Error())
+	rebuilt := statusRoundTrip(lost)
 	if !errors.Is(rebuilt, atom.ErrRoundAborted) {
 		t.Errorf("member-lost error crossed the wire untyped: %v", rebuilt)
+	}
+	if back := statusRoundTrip(nil); back != nil {
+		t.Errorf("success crossed the wire as %v", back)
 	}
 }
 

@@ -5,14 +5,16 @@
 // anonymized results. cmd/atomd and cmd/atomclient are thin wrappers
 // around this package.
 //
-// The RPC surface is round-aware and pipelined: OpenRound hands out a
-// round id (plus that round's trustee key in the trap variant), Submit
-// targets a specific round, and Mix runs asynchronously on the server —
-// so clients can open round r+1 and submit into it while round r is
-// still mixing. Every client method takes a context.Context whose
-// deadline bounds the request round trip, so a dead server fails the
-// call instead of hanging it. The legacy one-round-at-a-time calls
-// (Submit/RunRound without a round id) remain for compatibility.
+// The daemon speaks two surfaces, both in one binary codec (wire.go).
+// The control plane is request/reply over transport.TCPNode: Info for
+// the deployment's keys, OpenRound/SubmitRound/Mix for explicit,
+// pipelined rounds — a client opens round r+1 and submits into it while
+// round r still mixes — and Await for a continuous service's published
+// rounds. Every client method takes a context.Context whose deadline
+// bounds the round trip, so a dead server fails the call instead of
+// hanging it. Submissions into the continuous service ride the
+// multiplexed fast path instead (fastpath.go, FastClient). Both
+// surfaces rebuild the atom error taxonomy on the client.
 //
 // The daemon hosts the full multi-group deployment in one process —
 // the configuration the paper's single-machine experiments use. The
@@ -21,13 +23,10 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"log"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,30 +36,15 @@ import (
 	"atom/internal/transport"
 )
 
-// Message types of the daemon protocol.
+// Request types of the control plane; each reply's type is the
+// request's with "-reply" appended. Await is active only after
+// EnableService.
 const (
-	msgInfo         = "info"
-	msgInfoReply    = "info-reply"
-	msgSubmit       = "submit"
-	msgSubmitReply  = "submit-reply"
-	msgRun          = "run"
-	msgRunReply     = "run-reply"
-	msgOpen         = "open"
-	msgOpenReply    = "open-reply"
-	msgRSubmit      = "submit-round"
-	msgRSubmitReply = "submit-round-reply"
-	msgMix          = "mix"
-	msgMixReply     = "mix-reply"
-
-	// Continuous-service (ingestion frontend) messages: clients fetch
-	// the currently open round, submit into it, and await a round's
-	// published result. Active only after EnableService.
-	msgServeInfo   = "serve-info"
-	msgServeReply  = "serve-info-reply"
-	msgIngest      = "ingest"
-	msgIngestReply = "ingest-reply"
-	msgAwait       = "await"
-	msgAwaitReply  = "await-reply"
+	msgInfo   = "info"
+	msgOpen   = "open"
+	msgSubmit = "submit-round"
+	msgMix    = "mix"
+	msgAwait  = "await"
 )
 
 // Info describes a deployment to clients.
@@ -69,9 +53,8 @@ type Info struct {
 	MessageSize int
 	Trap        bool
 	EntryKeys   [][]byte
-	TrusteeKey  []byte
-	// SubmitAddr is the binary fast-path listener's address, empty when
-	// the daemon runs gob-only (see EnableFastPath).
+	// SubmitAddr is the fast-path listener's address, empty until
+	// EnableFastPath.
 	SubmitAddr string
 }
 
@@ -85,7 +68,7 @@ type RoundInfo struct {
 }
 
 // errorKind classifies server-side errors so clients can rebuild the
-// atom error taxonomy across the wire (gob cannot ship error chains).
+// atom error taxonomy across the wire, where error chains cannot go.
 type errorKind int
 
 const (
@@ -188,52 +171,6 @@ func unclassify(kind errorKind, msg string) error {
 	}
 }
 
-// reply is the generic response envelope.
-type reply struct {
-	OK        bool
-	Error     string
-	ErrorKind errorKind
-	Info      *Info
-	Round     *RoundInfo
-	Messages  [][]byte
-}
-
-// gobBufs pools the scratch buffers the control RPCs encode through.
-// The gob encoders themselves cannot be pooled — a gob.Encoder writes
-// type descriptors once per stream, so reusing one across independent
-// frames would emit frames the peer's fresh decoder cannot parse — but
-// the buffer allocations can.
-var gobBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// encodeFallbackLog reports an unencodable reply once per process: it is
-// a programming error worth a log line, not one worth a log flood.
-var encodeFallbackLog sync.Once
-
-func encodeReply(r *reply) []byte {
-	buf := gobBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer gobBufs.Put(buf)
-	if err := gob.NewEncoder(buf).Encode(r); err != nil {
-		// A reply that cannot be encoded is a programming error; log it
-		// once and encode a plain failure instead of dropping the request.
-		encodeFallbackLog.Do(func() {
-			log.Printf("daemon: reply encoding failed (replying with a generic error): %v", err)
-		})
-		buf.Reset()
-		_ = gob.NewEncoder(buf).Encode(&reply{Error: "internal encoding error"})
-	}
-	// The transport frame outlives the pooled buffer; copy out.
-	return append([]byte(nil), buf.Bytes()...)
-}
-
-func decodeReply(b []byte) (*reply, error) {
-	var r reply
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
-		return nil, fmt.Errorf("daemon: decoding reply: %w", err)
-	}
-	return &r, nil
-}
-
 // Server hosts a deployment behind a TCP endpoint.
 type Server struct {
 	node    *transport.TCPNode
@@ -244,7 +181,7 @@ type Server struct {
 	rounds map[uint64]*atom.Round
 
 	// svc, when non-nil, is the continuous ingestion-and-mixing
-	// pipeline the serve-mode messages target.
+	// pipeline that fast-path submissions and Await target.
 	svc atomic.Pointer[atom.Service]
 
 	// fast, when non-nil, is the binary multiplexed ingestion listener
@@ -289,9 +226,9 @@ func (s *Server) Addr() string { return s.node.Addr() }
 func (s *Server) Network() *atom.Network { return s.network }
 
 // EnableService starts the continuous ingestion-and-mixing pipeline
-// (atom.Network.Serve) and activates the serve-mode wire surface:
-// ServeInfo, SubmitInto and Await. The ctx is the pipeline's hard-stop
-// switch; Close drains it gracefully.
+// (atom.Network.Serve) that fast-path submissions feed and Await
+// reads. The ctx is the pipeline's hard-stop switch; Close drains it
+// gracefully.
 func (s *Server) EnableService(ctx context.Context, opts atom.ServeOptions) error {
 	svc, err := s.network.Serve(ctx, opts)
 	if err != nil {
@@ -306,191 +243,144 @@ func (s *Server) EnableService(ctx context.Context, opts atom.ServeOptions) erro
 func (s *Server) Service() *atom.Service { return s.svc.Load() }
 
 // Serve processes requests until Close. It is safe to run in a
-// goroutine. Mix requests run asynchronously so the daemon keeps
-// serving submissions into other rounds while one round mixes.
+// goroutine. Mix and await requests run asynchronously so the daemon
+// keeps serving submissions into other rounds while one round mixes.
 func (s *Server) Serve() {
 	for msg := range s.node.Inbox() {
-		if resp := s.handle(msg); resp != nil {
-			resp.Round = msg.Round // echo the request id for demux
-			_ = s.node.Send(msg.From, resp)
+		body, async, err := s.handle(msg)
+		if async == nil {
+			s.reply(msg, body, err)
+			continue
 		}
+		s.mixes.Add(1)
+		go func() {
+			defer s.mixes.Done()
+			body, err := async()
+			s.reply(msg, body, err)
+		}()
 	}
 	s.mixes.Wait()
 	close(s.done)
 }
 
-// handle services one request; a nil return means the handler replies
-// asynchronously.
-func (s *Server) handle(msg *transport.Message) *transport.Message {
+// reply answers req with a "-reply" of its type carrying its request
+// id and a payload of the status (appendStatus), followed on success by
+// the reply body.
+func (s *Server) reply(req *transport.Message, body []byte, err error) {
+	payload := appendStatus(nil, err)
+	if err == nil {
+		payload = append(payload, body...)
+	}
+	// A requester that hung up has nobody left to tell.
+	_ = s.node.Send(req.From, &transport.Message{Type: req.Type + "-reply", Round: req.Round, Payload: payload})
+}
+
+// handle services one request, returning the reply body or error. A
+// long request (mix, await) instead returns async, which Serve runs off
+// the inbox loop for the reply.
+func (s *Server) handle(msg *transport.Message) (body []byte, async func() ([]byte, error), err error) {
 	switch msg.Type {
 	case msgInfo:
 		info := &Info{
 			Groups:      s.network.Groups(),
 			MessageSize: s.cfg.MessageSize,
 			Trap:        s.cfg.Variant == atom.Trap,
+			SubmitAddr:  s.FastAddr(),
 		}
 		for gid := 0; gid < s.network.Groups(); gid++ {
 			key, err := s.network.EntryKey(gid)
 			if err != nil {
-				return fail(msgInfoReply, err)
+				return nil, nil, err
 			}
 			info.EntryKeys = append(info.EntryKeys, key)
 		}
-		if s.cfg.Variant == atom.Trap {
-			key, err := s.network.TrusteeKey()
-			if err != nil {
-				return fail(msgInfoReply, err)
-			}
-			info.TrusteeKey = key
-		}
-		info.SubmitAddr = s.FastAddr()
-		return &transport.Message{Type: msgInfoReply, Payload: encodeReply(&reply{OK: true, Info: info})}
+		return info.marshal(), nil, nil
 
 	case msgOpen:
 		round, err := s.network.OpenRound(context.Background())
 		if err != nil {
-			return fail(msgOpenReply, err)
+			return nil, nil, err
 		}
 		ri := &RoundInfo{ID: round.ID()}
 		if s.cfg.Variant == atom.Trap {
 			if ri.TrusteeKey, err = round.TrusteeKey(); err != nil {
-				return fail(msgOpenReply, err)
+				return nil, nil, err
 			}
 		}
 		s.mu.Lock()
 		s.rounds[round.ID()] = round
 		s.mu.Unlock()
-		return &transport.Message{Type: msgOpenReply, Payload: encodeReply(&reply{OK: true, Round: ri})}
+		return appendRoundInfo(nil, ri), nil, nil
 
 	case msgSubmit:
-		if len(msg.Payload) < 8 {
-			return fail(msgSubmitReply, fmt.Errorf("daemon: short submit payload"))
+		r := wireReader{b: msg.Payload}
+		rid, user := r.uvarint(), r.uvarint()
+		if r.bad {
+			return nil, nil, fmt.Errorf("daemon: short submit payload")
 		}
-		user := int(binary.BigEndian.Uint64(msg.Payload[:8]))
-		if err := s.network.SubmitEncoded(user, msg.Payload[8:]); err != nil {
-			return fail(msgSubmitReply, err)
-		}
-		return &transport.Message{Type: msgSubmitReply, Payload: encodeReply(&reply{OK: true})}
-
-	case msgRSubmit:
-		if len(msg.Payload) < 16 {
-			return fail(msgRSubmitReply, fmt.Errorf("daemon: short submit payload"))
-		}
-		rid := binary.BigEndian.Uint64(msg.Payload[:8])
-		user := int(binary.BigEndian.Uint64(msg.Payload[8:16]))
 		round, err := s.round(rid)
 		if err != nil {
-			return fail(msgRSubmitReply, err)
+			return nil, nil, err
 		}
-		if err := round.SubmitEncoded(user, msg.Payload[16:]); err != nil {
-			return fail(msgRSubmitReply, err)
-		}
-		return &transport.Message{Type: msgRSubmitReply, Payload: encodeReply(&reply{OK: true})}
-
-	case msgRun:
-		// Legacy blocking round: handled inline, so it serializes the
-		// inbox exactly as the one-round-at-a-time surface promises.
-		res, err := s.network.Run()
-		if err != nil {
-			return fail(msgRunReply, err)
-		}
-		return &transport.Message{Type: msgRunReply, Payload: encodeReply(&reply{OK: true, Messages: res.Messages})}
+		return nil, nil, round.SubmitEncoded(int(user), r.b)
 
 	case msgMix:
-		if len(msg.Payload) < 8 {
-			return fail(msgMixReply, fmt.Errorf("daemon: short mix payload"))
+		rid, err := roundArg(msg)
+		if err != nil {
+			return nil, nil, err
 		}
-		rid := binary.BigEndian.Uint64(msg.Payload[:8])
 		round, err := s.round(rid)
 		if err != nil {
-			return fail(msgMixReply, err)
+			return nil, nil, err
 		}
-		from, seq := msg.From, msg.Round
-		s.mixes.Add(1)
-		go func() {
-			defer s.mixes.Done()
+		return nil, func() ([]byte, error) {
 			res, err := round.Mix(context.Background())
 			s.mu.Lock()
 			delete(s.rounds, rid)
 			s.mu.Unlock()
-			var resp *transport.Message
 			if err != nil {
-				resp = fail(msgMixReply, err)
-			} else {
-				resp = &transport.Message{Type: msgMixReply, Payload: encodeReply(&reply{OK: true, Messages: res.Messages})}
+				return nil, err
 			}
-			resp.Round = seq
-			_ = s.node.Send(from, resp)
-		}()
-		return nil
-
-	case msgServeInfo:
-		svc := s.svc.Load()
-		if svc == nil {
-			return fail(msgServeReply, fmt.Errorf("daemon: not serving (no continuous service)"))
-		}
-		id, tkey, err := svc.Current()
-		if err != nil {
-			return fail(msgServeReply, err)
-		}
-		return &transport.Message{Type: msgServeReply, Payload: encodeReply(&reply{
-			OK: true, Round: &RoundInfo{ID: id, TrusteeKey: tkey},
-		})}
-
-	case msgIngest:
-		svc := s.svc.Load()
-		if svc == nil {
-			return fail(msgIngestReply, fmt.Errorf("daemon: not serving (no continuous service)"))
-		}
-		if len(msg.Payload) < 16 {
-			return fail(msgIngestReply, fmt.Errorf("daemon: short ingest payload"))
-		}
-		rid := binary.BigEndian.Uint64(msg.Payload[:8])
-		user := int(binary.BigEndian.Uint64(msg.Payload[8:16]))
-		admitted, err := svc.SubmitEncoded(rid, user, msg.Payload[16:])
-		if err != nil {
-			return fail(msgIngestReply, err)
-		}
-		return &transport.Message{Type: msgIngestReply, Payload: encodeReply(&reply{
-			OK: true, Round: &RoundInfo{ID: admitted},
-		})}
+			return appendMessages(nil, res.Messages), nil
+		}, nil
 
 	case msgAwait:
 		svc := s.svc.Load()
 		if svc == nil {
-			return fail(msgAwaitReply, fmt.Errorf("daemon: not serving (no continuous service)"))
+			return nil, nil, fmt.Errorf("daemon: not serving (no continuous service)")
 		}
-		if len(msg.Payload) < 8 {
-			return fail(msgAwaitReply, fmt.Errorf("daemon: short await payload"))
+		rid, err := roundArg(msg)
+		if err != nil {
+			return nil, nil, err
 		}
-		rid := binary.BigEndian.Uint64(msg.Payload[:8])
-		from, seq := msg.From, msg.Round
-		s.mixes.Add(1)
-		go func() {
-			defer s.mixes.Done()
+		return nil, func() ([]byte, error) {
 			// The park is bounded server-side: a bogus or long-gone
 			// round id must not pin a goroutine until shutdown (the
 			// client's own deadline is usually far shorter anyway).
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 			defer cancel()
 			out, err := svc.WaitRound(ctx, rid)
-			var resp *transport.Message
 			switch {
 			case err != nil:
-				resp = fail(msgAwaitReply, err)
+				return nil, err
 			case out.Err != nil:
-				resp = fail(msgAwaitReply, out.Err)
-			default:
-				resp = &transport.Message{Type: msgAwaitReply, Payload: encodeReply(&reply{OK: true, Messages: out.Messages})}
+				return nil, out.Err
 			}
-			resp.Round = seq
-			_ = s.node.Send(from, resp)
-		}()
-		return nil
+			return appendMessages(nil, out.Messages), nil
+		}, nil
 
 	default:
-		return fail(msg.Type+"-reply", fmt.Errorf("daemon: unknown request %q", msg.Type))
+		return nil, nil, fmt.Errorf("daemon: unknown request %q", msg.Type)
 	}
+}
+
+// roundArg decodes the payload of a request naming one round.
+func roundArg(msg *transport.Message) (uint64, error) {
+	r := wireReader{b: msg.Payload}
+	if rid := r.uvarint(); r.done() {
+		return rid, nil
+	}
+	return 0, fmt.Errorf("daemon: malformed %s payload", msg.Type)
 }
 
 func (s *Server) round(id uint64) (*atom.Round, error) {
@@ -503,10 +393,6 @@ func (s *Server) round(id uint64) (*atom.Round, error) {
 		return nil, fmt.Errorf("%w: no open round %d", atom.ErrRoundClosed, id)
 	}
 	return round, nil
-}
-
-func fail(typ string, err error) *transport.Message {
-	return &transport.Message{Type: typ, Payload: encodeReply(&reply{Error: err.Error(), ErrorKind: classify(err)})}
 }
 
 // Close shuts the daemon down: the fast path stops accepting (its
@@ -593,8 +479,9 @@ func (c *Client) demux() {
 
 // roundTrip sends req and waits for its reply, honoring the context's
 // deadline (or the client's default timeout when the context has
-// none) — a dead server fails the call instead of hanging it.
-func (c *Client) roundTrip(ctx context.Context, req *transport.Message) (*reply, error) {
+// none) — a dead server fails the call instead of hanging it. It
+// returns the reply body, or the server's typed error.
+func (c *Client) roundTrip(ctx context.Context, req *transport.Message) ([]byte, error) {
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
@@ -625,14 +512,14 @@ func (c *Client) roundTrip(ctx context.Context, req *transport.Message) (*reply,
 		if !ok {
 			return nil, fmt.Errorf("daemon: client closed")
 		}
-		r, err := decodeReply(msg.Payload)
-		if err != nil {
+		r := wireReader{b: msg.Payload}
+		if err := r.status(); err != nil {
 			return nil, err
 		}
-		if r.Error != "" {
-			return nil, unclassify(r.ErrorKind, r.Error)
+		if r.bad {
+			return nil, fmt.Errorf("daemon: malformed %s reply", req.Type)
 		}
-		return r, nil
+		return r.b, nil
 	case <-ctx.Done():
 		abandon()
 		return nil, fmt.Errorf("daemon: %s request: %w", req.Type, ctx.Err())
@@ -641,48 +528,35 @@ func (c *Client) roundTrip(ctx context.Context, req *transport.Message) (*reply,
 
 // Info fetches the deployment description.
 func (c *Client) Info(ctx context.Context) (*Info, error) {
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgInfo})
+	body, err := c.roundTrip(ctx, &transport.Message{Type: msgInfo})
 	if err != nil {
 		return nil, err
 	}
-	if r.Info == nil {
-		return nil, fmt.Errorf("daemon: empty info reply")
-	}
-	return r.Info, nil
+	return unmarshalInfo(body)
 }
 
 // OpenRound opens a new round on the daemon, returning its id and (in
 // the trap variant) the round's trustee key. The round accepts
 // submissions immediately — including while an earlier round mixes.
 func (c *Client) OpenRound(ctx context.Context) (*RoundInfo, error) {
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgOpen})
+	body, err := c.roundTrip(ctx, &transport.Message{Type: msgOpen})
 	if err != nil {
 		return nil, err
 	}
-	if r.Round == nil {
-		return nil, fmt.Errorf("daemon: empty open reply")
+	r := wireReader{b: body}
+	ri := r.roundInfo()
+	if !r.done() {
+		return nil, fmt.Errorf("daemon: malformed open reply")
 	}
-	return r.Round, nil
-}
-
-// Submit ships a wire-encoded submission for the given user into the
-// daemon's current (legacy) round.
-func (c *Client) Submit(ctx context.Context, user int, wire []byte) error {
-	payload := make([]byte, 8+len(wire))
-	binary.BigEndian.PutUint64(payload[:8], uint64(user))
-	copy(payload[8:], wire)
-	_, err := c.roundTrip(ctx, &transport.Message{Type: msgSubmit, Payload: payload})
-	return err
+	return ri, nil
 }
 
 // SubmitRound ships a wire-encoded submission into a specific open
 // round. Safe for concurrent use.
 func (c *Client) SubmitRound(ctx context.Context, round uint64, user int, wire []byte) error {
-	payload := make([]byte, 16+len(wire))
-	binary.BigEndian.PutUint64(payload[:8], round)
-	binary.BigEndian.PutUint64(payload[8:16], uint64(user))
-	copy(payload[16:], wire)
-	_, err := c.roundTrip(ctx, &transport.Message{Type: msgRSubmit, Payload: payload})
+	payload := binary.AppendUvarint(nil, round)
+	payload = binary.AppendUvarint(payload, uint64(user))
+	_, err := c.roundTrip(ctx, &transport.Message{Type: msgSubmit, Payload: append(payload, wire...)})
 	return err
 }
 
@@ -691,96 +565,22 @@ func (c *Client) SubmitRound(ctx context.Context, round uint64, user int, wire [
 // calls (Info, OpenRound, SubmitRound into later rounds) proceed while
 // a Mix is outstanding.
 func (c *Client) Mix(ctx context.Context, round uint64) ([][]byte, error) {
-	payload := make([]byte, 8)
-	binary.BigEndian.PutUint64(payload, round)
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgMix, Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	return r.Messages, nil
-}
-
-// RunRound triggers a legacy blocking round and returns the anonymized
-// messages.
-func (c *Client) RunRound(ctx context.Context) ([][]byte, error) {
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgRun})
-	if err != nil {
-		return nil, err
-	}
-	return r.Messages, nil
-}
-
-// ServeInfo fetches the continuous service's currently open round: its
-// id and, in the trap variant, its trustee key. Clients encrypt against
-// that key and SubmitInto that round; when the round seals under them
-// (ErrRoundClosed) they re-fetch and re-encrypt.
-func (c *Client) ServeInfo(ctx context.Context) (*RoundInfo, error) {
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgServeInfo})
-	if err != nil {
-		return nil, err
-	}
-	if r.Round == nil {
-		return nil, fmt.Errorf("daemon: empty serve-info reply")
-	}
-	return r.Round, nil
-}
-
-// SubmitInto ships a wire-encoded submission into the continuous
-// service's open round. round 0 targets whichever round is open (NIZK
-// encodings are round-independent); a nonzero round fails with
-// ErrRoundClosed if that round already sealed. It returns the round
-// that admitted the submission, for a later Await. Safe for concurrent
-// use.
-func (c *Client) SubmitInto(ctx context.Context, round uint64, user int, wire []byte) (uint64, error) {
-	payload := make([]byte, 16+len(wire))
-	binary.BigEndian.PutUint64(payload[:8], round)
-	binary.BigEndian.PutUint64(payload[8:16], uint64(user))
-	copy(payload[16:], wire)
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgIngest, Payload: payload})
-	if err != nil {
-		return 0, err
-	}
-	if r.Round == nil {
-		return 0, fmt.Errorf("daemon: empty ingest reply")
-	}
-	return r.Round.ID, nil
+	return c.messages(ctx, msgMix, round)
 }
 
 // Await blocks until the continuous service publishes the given round,
 // returning its anonymized messages (or its typed failure). The wait is
 // bounded by ctx (or the client's default timeout).
 func (c *Client) Await(ctx context.Context, round uint64) ([][]byte, error) {
-	payload := make([]byte, 8)
-	binary.BigEndian.PutUint64(payload, round)
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgAwait, Payload: payload})
+	return c.messages(ctx, msgAwait, round)
+}
+
+// messages runs a request naming one round whose reply is the round's
+// message list.
+func (c *Client) messages(ctx context.Context, typ string, round uint64) ([][]byte, error) {
+	body, err := c.roundTrip(ctx, &transport.Message{Type: typ, Payload: binary.AppendUvarint(nil, round)})
 	if err != nil {
 		return nil, err
 	}
-	return r.Messages, nil
-}
-
-// SubmitBatch encrypts msgs locally and ships them over one connection
-// as users base, base+1, …, spreading them across entry groups — the
-// batch-submission path cmd/atomclient's -count/-submit-file flags and
-// the atomsim -serve fleet share. ri names the target round (and, trap
-// variant, carries its trustee key); submit is the per-submission RPC —
-// Client.SubmitInto for a continuous service, Client.SubmitRound for an
-// explicitly opened round. It returns how many submissions were
-// accepted; on the first failure it returns that error (an
-// ErrRoundClosed mid-batch means the round sealed — re-fetch and retry
-// the remainder).
-func SubmitBatch(ctx context.Context, enc *atom.Client, info *Info, ri *RoundInfo, base int, msgs [][]byte,
-	submit func(ctx context.Context, round uint64, user int, wire []byte) error) (int, error) {
-	for i, m := range msgs {
-		user := base + i
-		gid := user % info.Groups
-		wire, err := enc.EncryptSubmission(m, info.EntryKeys[gid], ri.TrusteeKey, gid)
-		if err != nil {
-			return i, err
-		}
-		if err := submit(ctx, ri.ID, user, wire); err != nil {
-			return i, err
-		}
-	}
-	return len(msgs), nil
+	return unmarshalMessages(body)
 }

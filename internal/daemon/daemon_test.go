@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -31,6 +32,22 @@ func startServer(t *testing.T, variant atom.Variant) (*Server, atom.Config) {
 	return srv, cfg
 }
 
+// submitAll encrypts msgs for users 0.. into an explicitly opened round
+// over the control plane.
+func submitAll(t *testing.T, cli *Client, ac *atom.Client, info *Info, ri *RoundInfo, msgs []string) {
+	t.Helper()
+	for u, m := range msgs {
+		gid := u % info.Groups
+		wire, err := ac.EncryptSubmission([]byte(m), info.EntryKeys[gid], ri.TrusteeKey, gid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.SubmitRound(t.Context(), ri.ID, u, wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestDaemonEndToEndNIZK(t *testing.T) {
 	srv, cfg := startServer(t, atom.NIZK)
 	cli, err := Dial(srv.Addr())
@@ -54,20 +71,22 @@ func TestDaemonEndToEndNIZK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ri, err := cli.OpenRound(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ri.TrusteeKey) != 0 {
+		t.Fatalf("NIZK round carries a trustee key: %x", ri.TrusteeKey)
+	}
 	want := map[string]bool{}
+	var sent []string
 	for u := 0; u < 8; u++ {
-		gid := u % info.Groups
 		msg := fmt.Sprintf("over the wire %d", u)
 		want[msg] = true
-		wire, err := ac.EncryptSubmission([]byte(msg), info.EntryKeys[gid], nil, gid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cli.Submit(t.Context(), u, wire); err != nil {
-			t.Fatal(err)
-		}
+		sent = append(sent, msg)
 	}
-	msgs, err := cli.RunRound(t.Context())
+	submitAll(t, cli, ac, info, ri, sent)
+	msgs, err := cli.Mix(t.Context(), ri.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,25 +112,26 @@ func TestDaemonEndToEndTrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Trap || len(info.TrusteeKey) == 0 {
+	if !info.Trap {
 		t.Fatalf("trap deployment not advertised: %+v", info)
+	}
+	ri, err := cli.OpenRound(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ri.TrusteeKey) == 0 {
+		t.Fatal("trap round opened without a trustee key")
 	}
 	ac, err := atom.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sent []string
 	for u := 0; u < 8; u++ {
-		gid := u % info.Groups
-		wire, err := ac.EncryptSubmission([]byte(fmt.Sprintf("trap wire %d", u)),
-			info.EntryKeys[gid], info.TrusteeKey, gid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cli.Submit(t.Context(), u, wire); err != nil {
-			t.Fatal(err)
-		}
+		sent = append(sent, fmt.Sprintf("trap wire %d", u))
 	}
-	msgs, err := cli.RunRound(t.Context())
+	submitAll(t, cli, ac, info, ri, sent)
+	msgs, err := cli.Mix(t.Context(), ri.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,52 +141,66 @@ func TestDaemonEndToEndTrap(t *testing.T) {
 }
 
 func TestDaemonRejectsGarbageSubmission(t *testing.T) {
-	srv, _ := startServer(t, atom.NIZK)
+	srv, cfg := startServer(t, atom.NIZK)
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Submit(t.Context(), 0, []byte("not a submission")); err == nil {
+	ri, err := cli.OpenRound(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.SubmitRound(t.Context(), ri.ID, 0, []byte("not a submission")); err == nil {
 		t.Fatal("garbage submission accepted")
 	}
 	// Replay rejection over the wire.
-	info, _ := cli.Info(t.Context())
-	cfg := atom.Config{Servers: 12, Groups: 4, GroupSize: 3, MessageSize: 32,
-		Variant: atom.NIZK, Iterations: 2, Seed: []byte("daemon-test")}
+	info, err := cli.Info(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ac, _ := atom.NewClient(cfg)
 	wire, err := ac.EncryptSubmission([]byte("once"), info.EntryKeys[0], nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Submit(t.Context(), 1, wire); err != nil {
+	if err := cli.SubmitRound(t.Context(), ri.ID, 1, wire); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Submit(t.Context(), 2, wire); err == nil {
+	if err := cli.SubmitRound(t.Context(), ri.ID, 2, wire); err == nil {
 		t.Fatal("replayed submission accepted over the wire")
 	}
 }
 
 func TestDaemonMultipleRounds(t *testing.T) {
 	srv, cfg := startServer(t, atom.Trap)
-	cli, _ := Dial(srv.Addr())
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer cli.Close()
-	info, _ := cli.Info(t.Context())
+	info, err := cli.Info(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ac, _ := atom.NewClient(cfg)
+	var prevKey []byte
 	for round := 0; round < 2; round++ {
-		// The trustee key rotates per round; refetch it.
-		info, _ = cli.Info(t.Context())
-		for u := 0; u < 4; u++ {
-			wire, err := ac.EncryptSubmission([]byte(fmt.Sprintf("r%d u%d", round, u)),
-				info.EntryKeys[u%info.Groups], info.TrusteeKey, u%info.Groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cli.Submit(t.Context(), u, wire); err != nil {
-				t.Fatal(err)
-			}
+		// The trustee key rotates per round: each open hands out its own.
+		ri, err := cli.OpenRound(t.Context())
+		if err != nil {
+			t.Fatal(err)
 		}
-		msgs, err := cli.RunRound(t.Context())
+		if bytes.Equal(ri.TrusteeKey, prevKey) {
+			t.Fatalf("round %d reuses the previous round's trustee key", round)
+		}
+		prevKey = ri.TrusteeKey
+		var sent []string
+		for u := 0; u < 4; u++ {
+			sent = append(sent, fmt.Sprintf("r%d u%d", round, u))
+		}
+		submitAll(t, cli, ac, info, ri, sent)
+		msgs, err := cli.Mix(t.Context(), ri.ID)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -262,8 +296,11 @@ func TestDaemonPipelinedRounds(t *testing.T) {
 	}
 }
 
+// TestDaemonTypedErrorsOverWire checks both surfaces rebuild the
+// typed rejections: a control-plane SubmitRound reply and a fast-path
+// ack.
 func TestDaemonTypedErrorsOverWire(t *testing.T) {
-	srv, cfg := startServer(t, atom.NIZK)
+	srv, cfg := startServeServer(t, atom.NIZK, atom.ServeOptions{RoundInterval: time.Hour})
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -273,31 +310,62 @@ func TestDaemonTypedErrorsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Submit(t.Context(), 0, []byte("garbage")); !errors.Is(err, atom.ErrBadSubmission) {
-		t.Fatalf("garbage submission: got %v, want ErrBadSubmission", err)
-	}
 	ac, _ := atom.NewClient(cfg)
-	wire, err := ac.EncryptSubmission([]byte("dup"), info.EntryKeys[0], nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	encrypt := func(msg string) []byte {
+		wire, err := ac.EncryptSubmission([]byte(msg), info.EntryKeys[0], nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
 	}
-	if err := cli.Submit(t.Context(), 1, wire); err != nil {
-		t.Fatal(err)
-	}
-	err = cli.Submit(t.Context(), 2, wire)
-	if !errors.Is(err, atom.ErrDuplicateSubmission) || !errors.Is(err, atom.ErrBadSubmission) {
-		t.Fatalf("replay: got %v, want ErrDuplicateSubmission (and ErrBadSubmission)", err)
-	}
+
+	t.Run("control-plane", func(t *testing.T) {
+		ri, err := cli.OpenRound(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.SubmitRound(t.Context(), ri.ID, 0, []byte("garbage")); !errors.Is(err, atom.ErrBadSubmission) {
+			t.Fatalf("garbage submission: got %v, want ErrBadSubmission", err)
+		}
+		wire := encrypt("dup")
+		if err := cli.SubmitRound(t.Context(), ri.ID, 1, wire); err != nil {
+			t.Fatal(err)
+		}
+		err = cli.SubmitRound(t.Context(), ri.ID, 2, wire)
+		if !errors.Is(err, atom.ErrDuplicateSubmission) || !errors.Is(err, atom.ErrBadSubmission) {
+			t.Fatalf("replay: got %v, want ErrDuplicateSubmission (and ErrBadSubmission)", err)
+		}
+		if err := cli.SubmitRound(t.Context(), ri.ID+1000, 3, wire); !errors.Is(err, atom.ErrRoundClosed) {
+			t.Fatalf("unknown round: got %v, want ErrRoundClosed", err)
+		}
+	})
+
+	t.Run("fast-path", func(t *testing.T) {
+		fast := startFast(t, srv)
+		if _, err := submitFast(t, fast, 0, 0, []byte("garbage")); !errors.Is(err, atom.ErrBadSubmission) {
+			t.Fatalf("garbage submission: got %v, want ErrBadSubmission", err)
+		}
+		wire := encrypt("dup fast")
+		if _, err := submitFast(t, fast, 0, 1, wire); err != nil {
+			t.Fatal(err)
+		}
+		_, err := submitFast(t, fast, 0, 2, wire)
+		if !errors.Is(err, atom.ErrDuplicateSubmission) || !errors.Is(err, atom.ErrBadSubmission) {
+			t.Fatalf("replay: got %v, want ErrDuplicateSubmission (and ErrBadSubmission)", err)
+		}
+		if _, err := submitFast(t, fast, 1<<40, 3, encrypt("pinned")); !errors.Is(err, atom.ErrRoundClosed) {
+			t.Fatalf("unknown round pin: got %v, want ErrRoundClosed", err)
+		}
+	})
 }
 
 // TestPersistenceErrorKindsRoundTrip pins the durable-state sentinels
-// to the gob error envelope: what classify assigns on the server,
-// unclassify must rebuild on the client as an errors.Is match.
+// to the wire status encoding: what the server writes, the client must
+// rebuild as an errors.Is match.
 func TestPersistenceErrorKindsRoundTrip(t *testing.T) {
 	for _, sentinel := range []error{atom.ErrStateCorrupt, atom.ErrConfigMismatch} {
 		wire := fmt.Errorf("daemon: refusing join: %w", sentinel)
-		back := unclassify(classify(wire), wire.Error())
-		if !errors.Is(back, sentinel) {
+		if back := statusRoundTrip(wire); !errors.Is(back, sentinel) {
 			t.Fatalf("wire roundtrip of %v rebuilt %v, losing the sentinel", sentinel, back)
 		}
 	}
@@ -350,8 +418,44 @@ func startServeServer(t *testing.T, variant atom.Variant, opts atom.ServeOptions
 	return srv, cfg
 }
 
+// startFast enables srv's fast path and dials it.
+func startFast(t *testing.T, srv *Server) *FastClient {
+	t.Helper()
+	addr, err := srv.EnableFastPath("127.0.0.1:0", FastPathOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := DialFast(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fast.Close() })
+	return fast
+}
+
+// submitFast pipelines one submission and waits for its verdict.
+func submitFast(t *testing.T, fast *FastClient, round uint64, user int, wire []byte) (uint64, error) {
+	t.Helper()
+	type verdict struct {
+		round uint64
+		err   error
+	}
+	ch := make(chan verdict, 1)
+	fast.Submit(round, user, wire, func(r uint64, err error) { ch <- verdict{r, err} })
+	if err := fast.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case v := <-ch:
+		return v.round, v.err
+	case <-time.After(30 * time.Second):
+		t.Fatal("no verdict")
+		return 0, nil
+	}
+}
+
 // TestDaemonIngestDuplicateAcrossPipelinedRounds exercises the dedup
-// policy through the wire path: the same ciphertext submitted twice
+// policy through the fast path: the same ciphertext submitted twice
 // into round r is rejected with ErrDuplicateSubmission, while the same
 // bytes into round r+1 — opened while r mixes — are accepted once
 // again: the duplicate filter is per round.
@@ -366,6 +470,7 @@ func TestDaemonIngestDuplicateAcrossPipelinedRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
+	fast := startFast(t, srv)
 	ctx := context.Background()
 
 	info, err := cli.Info(ctx)
@@ -376,38 +481,37 @@ func TestDaemonIngestDuplicateAcrossPipelinedRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := ac.EncryptSubmission([]byte("wire replay"), info.EntryKeys[1], nil, 1)
-	if err != nil {
-		t.Fatal(err)
+	encrypt := func(msg string, gid int) []byte {
+		wire, err := ac.EncryptSubmission([]byte(msg), info.EntryKeys[gid], nil, gid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
 	}
+	wire := encrypt("wire replay", 1)
 
-	r1info, err := cli.ServeInfo(ctx)
+	r1info, err := fast.ServeInfo(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	admitted, err := cli.SubmitInto(ctx, r1info.ID, 1, wire)
+	admitted, err := submitFast(t, fast, r1info.ID, 1, wire)
 	if err != nil || admitted != r1info.ID {
 		t.Fatalf("first submission into round %d: admitted=%d err=%v", r1info.ID, admitted, err)
 	}
 	// Replay into the same round: typed rejection through the wire.
-	if _, err := cli.SubmitInto(ctx, r1info.ID, 2, wire); !errors.Is(err, atom.ErrDuplicateSubmission) {
+	if _, err := submitFast(t, fast, r1info.ID, 2, wire); !errors.Is(err, atom.ErrDuplicateSubmission) {
 		t.Fatalf("replay into round %d: %v, want ErrDuplicateSubmission", r1info.ID, err)
 	}
 
 	// Fill round r so it seals and r+1 opens (r still mixing or queued).
-	var fill [][]byte
 	for i := 0; i < 2; i++ {
-		fill = append(fill, []byte(fmt.Sprintf("filler %d", i)))
-	}
-	if _, err := SubmitBatch(ctx, ac, info, r1info, 10, fill, func(ctx context.Context, round uint64, user int, w []byte) error {
-		_, serr := cli.SubmitInto(ctx, round, user, w)
-		return serr
-	}); err != nil {
-		t.Fatalf("filling round %d: %v", r1info.ID, err)
+		if _, err := submitFast(t, fast, r1info.ID, 10+i, encrypt(fmt.Sprintf("filler %d", i), (10+i)%info.Groups)); err != nil {
+			t.Fatalf("filling round %d: %v", r1info.ID, err)
+		}
 	}
 	var r2info *RoundInfo
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		if r2info, err = cli.ServeInfo(ctx); err != nil {
+		if r2info, err = fast.ServeInfo(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if r2info.ID != r1info.ID {
@@ -420,25 +524,23 @@ func TestDaemonIngestDuplicateAcrossPipelinedRounds(t *testing.T) {
 	}
 
 	// The same bytes into round r+1: accepted (dedup is per round).
-	if _, err := cli.SubmitInto(ctx, r2info.ID, 3, wire); err != nil {
+	if _, err := submitFast(t, fast, r2info.ID, 3, wire); err != nil {
 		t.Fatalf("replay into round %d: %v, want acceptance", r2info.ID, err)
 	}
 	// …and rejected again within r+1.
-	if _, err := cli.SubmitInto(ctx, r2info.ID, 4, wire); !errors.Is(err, atom.ErrDuplicateSubmission) {
+	if _, err := submitFast(t, fast, r2info.ID, 4, wire); !errors.Is(err, atom.ErrDuplicateSubmission) {
 		t.Fatalf("second replay into round %d: %v, want ErrDuplicateSubmission", r2info.ID, err)
 	}
 	// Targeting the sealed round r fails typed over the wire.
-	if _, err := cli.SubmitInto(ctx, r1info.ID, 5, wire); !errors.Is(err, atom.ErrRoundClosed) {
+	if _, err := submitFast(t, fast, r1info.ID, 5, wire); !errors.Is(err, atom.ErrRoundClosed) {
 		t.Fatalf("submission into sealed round %d: %v, want ErrRoundClosed", r1info.ID, err)
 	}
 
 	// Fill round r+1 to its seal target so it publishes too.
-	if _, err := SubmitBatch(ctx, ac, info, r2info, 20, [][]byte{[]byte("filler r2"), []byte("filler r2b")},
-		func(ctx context.Context, round uint64, user int, w []byte) error {
-			_, serr := cli.SubmitInto(ctx, round, user, w)
-			return serr
-		}); err != nil {
-		t.Fatalf("filling round %d: %v", r2info.ID, err)
+	for i, m := range []string{"filler r2", "filler r2b"} {
+		if _, err := submitFast(t, fast, r2info.ID, 20+i, encrypt(m, (20+i)%info.Groups)); err != nil {
+			t.Fatalf("filling round %d: %v", r2info.ID, err)
+		}
 	}
 
 	// Both rounds publish; the replayed plaintext appears in each —

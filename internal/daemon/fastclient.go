@@ -31,12 +31,21 @@ type FastClient struct {
 	seq     uint64
 	closed  bool
 
-	// info serializes ServeInfo round trips over the shared connection.
+	// infoMu serializes ServeInfo round trips over the shared
+	// connection; infoCh holds the newest unclaimed info reply.
 	infoMu sync.Mutex
-	infoCh chan *RoundInfo
+	infoID uint64
+	infoCh chan infoReply
 
+	// lost closes when the connection dies.
+	lost     chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
+}
+
+type infoReply struct {
+	id uint64
+	ri *RoundInfo
 }
 
 // flushBytes is the pending-frame size that triggers an inline flush;
@@ -53,7 +62,8 @@ func DialFast(addr string) (*FastClient, error) {
 	fc := &FastClient{
 		conn:    conn,
 		pending: make(map[uint64]func(uint64, error)),
-		infoCh:  make(chan *RoundInfo, 1),
+		infoCh:  make(chan infoReply, 1),
+		lost:    make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
 	if err := fc.writeFrame(append([]byte{fpTypeHello}, fpMagic...)); err != nil {
@@ -67,9 +77,9 @@ func DialFast(addr string) (*FastClient, error) {
 
 // Submit pipelines one wire-encoded submission for the given logical
 // user into the given round (0 = whichever round is open). done fires
-// exactly once — with the admitting round, or with the same typed error
-// the gob SubmitInto surface returns — from the client's reader
-// goroutine, so keep it cheap. Submissions buffer until flushBytes
+// exactly once — with the admitting round, or with the typed rejection
+// (errors.Is-matchable against the atom sentinels) — from the client's
+// reader goroutine, so keep it cheap. Submissions buffer until flushBytes
 // accumulate, the background flusher fires, or Flush is called.
 func (fc *FastClient) Submit(round uint64, user int, wire []byte, done func(round uint64, err error)) {
 	fc.pmu.Lock()
@@ -172,21 +182,28 @@ func (fc *FastClient) writeFrameLocked(payload []byte) error {
 }
 
 // ServeInfo fetches the open round (and, trap variant, its trustee key)
-// over the fast path. One info request is in flight at a time.
+// over the fast path. One info request is in flight at a time; a late
+// reply to an earlier call that gave up is discarded by its id, whether
+// it landed before this call or arrives during it.
 func (fc *FastClient) ServeInfo(ctx context.Context) (*RoundInfo, error) {
 	fc.infoMu.Lock()
 	defer fc.infoMu.Unlock()
-	if err := fc.writeFrame([]byte{fpTypeInfoReq}); err != nil {
+	fc.infoID++
+	id := fc.infoID
+	if err := fc.writeFrame(binary.AppendUvarint([]byte{fpTypeInfoReq}, id)); err != nil {
 		return nil, err
 	}
-	select {
-	case ri, ok := <-fc.infoCh:
-		if !ok {
+	for {
+		select {
+		case rep := <-fc.infoCh:
+			if rep.id == id {
+				return rep.ri, nil
+			}
+		case <-fc.lost:
 			return nil, fmt.Errorf("daemon: fast path connection closed")
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		return ri, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
 }
 
@@ -221,53 +238,32 @@ func (fc *FastClient) readLoop() {
 				return
 			}
 		case fpTypeInfoReply:
-			round, rest, ok := fpUvarint(body)
-			if !ok {
+			r := wireReader{b: body}
+			rep := infoReply{id: r.uvarint(), ri: r.roundInfo()}
+			if !r.done() {
 				fc.failAll(fmt.Errorf("daemon: malformed fast path info"))
 				return
 			}
-			klen, rest, ok := fpUvarint(rest)
-			if !ok || klen > uint64(len(rest)) {
-				fc.failAll(fmt.Errorf("daemon: malformed fast path info"))
-				return
-			}
-			ri := &RoundInfo{ID: round}
-			if klen > 0 {
-				ri.TrusteeKey = append([]byte(nil), rest[:klen]...)
-			}
+			// Newest wins: displace an unclaimed stale reply. readLoop is
+			// the only sender, so the send below never blocks.
 			select {
-			case fc.infoCh <- ri:
-			default: // no ServeInfo waiting; drop
+			case <-fc.infoCh:
+			default:
 			}
+			fc.infoCh <- rep
 		}
 	}
 }
 
+// handleAcks settles the verdicts of one ack frame body, reporting
+// whether it parsed.
 func (fc *FastClient) handleAcks(body []byte) bool {
-	count, body, ok := fpUvarint(body)
-	if !ok {
-		return false
-	}
-	for i := uint64(0); i < count; i++ {
-		var seq, round, mlen uint64
-		if seq, body, ok = fpUvarint(body); !ok {
-			return false
-		}
-		if len(body) < 1 {
-			return false
-		}
-		kind := errorKind(body[0])
-		body = body[1:]
-		if round, body, ok = fpUvarint(body); !ok {
-			return false
-		}
-		var err error
-		if kind != errNone {
-			if mlen, body, ok = fpUvarint(body); !ok || mlen > uint64(len(body)) {
-				return false
-			}
-			err = unclassify(kind, string(body[:mlen]))
-			body = body[mlen:]
+	r := wireReader{b: body}
+	for n := r.count(); n > 0 && !r.bad; n-- {
+		seq, round := r.uvarint(), r.uvarint()
+		err := r.status()
+		if r.bad {
+			break
 		}
 		fc.pmu.Lock()
 		done, found := fc.pending[seq]
@@ -277,7 +273,7 @@ func (fc *FastClient) handleAcks(body []byte) bool {
 			done(round, err)
 		}
 	}
-	return true
+	return r.done()
 }
 
 // fail settles a single submission whose write never made it out.
@@ -310,7 +306,7 @@ func (fc *FastClient) failAll(err error) {
 	for _, done := range callbacks {
 		done(0, werr)
 	}
-	close(fc.infoCh)
+	close(fc.lost)
 }
 
 // Close tears the connection down; outstanding submissions fail.

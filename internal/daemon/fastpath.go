@@ -11,13 +11,13 @@ import (
 	"time"
 )
 
-// The fast path is the daemon's high-throughput ingestion surface: a
-// separate listener speaking a compact binary framing instead of the gob
-// RPC envelope, multiplexed so one TCP connection carries any number of
-// logical clients. Submits are pipelined — the client streams fpSubmit
-// frames without waiting — and the server acknowledges asynchronously
-// with coalesced fpAck frames, so the per-submission wire cost is a few
-// dozen bytes and zero round trips. Admission itself is batched: frames
+// The fast path is the daemon's submission surface: a separate listener
+// whose frames carry batches of submissions and verdicts instead of one
+// request per message, multiplexed so one TCP connection carries any
+// number of logical clients. Submits are pipelined — the client
+// streams fpSubmit frames without waiting — and the server acknowledges
+// asynchronously with coalesced fpAck frames, so the per-submission
+// wire cost is a few dozen bytes and zero round trips. Admission itself is batched: frames
 // from every connection drain into one queue, and workers flush batches
 // through Service.SubmitEncodedBatch, which verifies each batch's
 // admission proofs as a single random-linear-combination check.
@@ -27,13 +27,16 @@ import (
 //	frame     := u32_be length ‖ type_byte ‖ body
 //	hello     := "ATOMFP1"                                  (client → server, first frame)
 //	submit    := count ‖ { seq ‖ user ‖ round ‖ len ‖ wire }×count
-//	ack       := count ‖ { seq ‖ status ‖ round ‖ [len ‖ error] }×count
-//	info-req  := (empty)
-//	info-rep  := round ‖ len ‖ trustee-key
+//	ack       := count ‖ { seq ‖ round ‖ status }×count
+//	status    := kind ‖ [len ‖ error]                      (error only when kind ≠ 0)
+//	info-req  := id
+//	info-rep  := id ‖ round ‖ len ‖ trustee-key
 //
-// status 0 admits; any other value is the errorKind of the rejection
-// (the same taxonomy the gob surface ships), followed by the error text,
-// so FastClient rebuilds exactly the typed errors SubmitInto returns.
+// kind 0 admits; any other value is the errorKind of the rejection,
+// followed by the error text — the status encoding control-plane
+// replies use too (appendStatus), so FastClient rebuilds the same typed
+// errors. info-rep echoes its request's id, so a reply that arrives
+// after its caller gave up is never taken for a later call's.
 const (
 	fpMagic    = "ATOMFP1"
 	fpMaxFrame = 16 << 20
@@ -114,8 +117,7 @@ type fastSub struct {
 type fpAck struct {
 	seq   uint64
 	round uint64
-	kind  errorKind
-	msg   string
+	err   error
 }
 
 // fastPath is the server half: listener, per-connection readers/writers,
@@ -138,7 +140,7 @@ type fastPath struct {
 }
 
 // EnableFastPath starts the binary ingestion listener on addr (":0" for
-// an ephemeral port) and returns the bound address, which the gob Info
+// an ephemeral port) and returns the bound address, which the Info
 // reply advertises as SubmitAddr. Submissions arriving before
 // EnableService are rejected with a typed error; enable the service
 // first. Close shuts the fast path down with the rest of the daemon.
@@ -307,8 +309,13 @@ func (fc *fastConn) readLoop() {
 				}
 			}
 		case fpTypeInfoReq:
+			r := wireReader{b: body}
+			id := r.uvarint()
 			fc.fp.bufs.Put(fb)
-			fc.sendInfo()
+			if !r.done() {
+				return
+			}
+			fc.sendInfo(id)
 		default:
 			fc.fp.bufs.Put(fb)
 			return
@@ -319,53 +326,35 @@ func (fc *fastConn) readLoop() {
 // parseSubmit splits an fpSubmit body into fastSubs whose wire bytes
 // alias the frame buffer.
 func (fc *fastConn) parseSubmit(fb *frameBuf, body []byte) ([]fastSub, bool) {
-	count, body, ok := fpUvarint(body)
-	if !ok || count > uint64(len(body)) { // each submission is ≥1 byte
+	r := wireReader{b: body}
+	n := r.count()
+	if n > len(r.b)/4 { // an entry's four fields take ≥4 bytes
 		return nil, false
 	}
-	subs := make([]fastSub, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var seq, user, round, wlen uint64
-		if seq, body, ok = fpUvarint(body); !ok {
-			return nil, false
-		}
-		if user, body, ok = fpUvarint(body); !ok {
-			return nil, false
-		}
-		if round, body, ok = fpUvarint(body); !ok {
-			return nil, false
-		}
-		if wlen, body, ok = fpUvarint(body); !ok || wlen > uint64(len(body)) {
-			return nil, false
-		}
-		subs = append(subs, fastSub{
+	subs := make([]fastSub, n)
+	for i := range subs {
+		subs[i] = fastSub{
 			fc:    fc,
 			frame: fb,
-			seq:   seq,
-			user:  int(user),
-			round: round,
-			wire:  body[:wlen:wlen],
-		})
-		body = body[wlen:]
-	}
-	return subs, len(body) == 0
-}
-
-// sendInfo answers an info-req with the open round (and trustee key).
-func (fc *fastConn) sendInfo() {
-	var round uint64
-	var tkey []byte
-	if svc := fc.fp.srv.svc.Load(); svc != nil {
-		if id, key, err := svc.Current(); err == nil {
-			round, tkey = id, key
+			seq:   r.uvarint(),
+			user:  int(r.uvarint()),
+			round: r.uvarint(),
+			wire:  r.bytes(),
 		}
 	}
-	body := make([]byte, 0, 16+len(tkey))
-	body = append(body, fpTypeInfoReply)
-	body = binary.AppendUvarint(body, round)
-	body = binary.AppendUvarint(body, uint64(len(tkey)))
-	body = append(body, tkey...)
-	fc.writeFrame(body)
+	return subs, r.done()
+}
+
+// sendInfo answers info-req id with the open round (and trustee key).
+func (fc *fastConn) sendInfo(id uint64) {
+	ri := &RoundInfo{}
+	if svc := fc.fp.srv.svc.Load(); svc != nil {
+		if rid, key, err := svc.Current(); err == nil {
+			ri.ID, ri.TrusteeKey = rid, key
+		}
+	}
+	body := binary.AppendUvarint([]byte{fpTypeInfoReply}, id)
+	fc.writeFrame(appendRoundInfo(body, ri))
 }
 
 // writeFrame writes one length-prefixed frame; a failed write drops the
@@ -403,19 +392,20 @@ func (fc *fastConn) ackLoop() {
 				break drain
 			}
 		}
-		buf = append(buf[:0], fpTypeAck)
-		buf = binary.AppendUvarint(buf, uint64(len(pending)))
-		for _, a := range pending {
-			buf = binary.AppendUvarint(buf, a.seq)
-			buf = append(buf, byte(a.kind))
-			buf = binary.AppendUvarint(buf, a.round)
-			if a.kind != errNone {
-				buf = binary.AppendUvarint(buf, uint64(len(a.msg)))
-				buf = append(buf, a.msg...)
-			}
-		}
+		buf = appendAcks(append(buf[:0], fpTypeAck), pending)
 		fc.writeFrame(buf)
 	}
+}
+
+// appendAcks appends an ack frame body; FastClient.handleAcks parses it.
+func appendAcks(b []byte, acks []fpAck) []byte {
+	b = binary.AppendUvarint(b, uint64(len(acks)))
+	for _, a := range acks {
+		b = binary.AppendUvarint(b, a.seq)
+		b = binary.AppendUvarint(b, a.round)
+		b = appendStatus(b, a.err)
+	}
+	return b
 }
 
 // ack queues one verdict; a connection that stopped draining its acks
@@ -481,7 +471,7 @@ func (fp *fastPath) flush(batch []fastSub) {
 	if svc == nil {
 		err := fmt.Errorf("daemon: not serving (no continuous service)")
 		for _, sub := range batch {
-			sub.fc.ack(fpAck{seq: sub.seq, kind: classify(err), msg: err.Error()})
+			sub.fc.ack(fpAck{seq: sub.seq, err: err})
 			sub.frame.release()
 		}
 		return
@@ -499,21 +489,8 @@ func (fp *fastPath) flush(batch []fastSub) {
 		rounds, errs := svc.SubmitEncodedBatchInto(pin, users, wires)
 		for k, i := range idxs {
 			sub := batch[i]
-			if errs[k] != nil {
-				sub.fc.ack(fpAck{seq: sub.seq, kind: classify(errs[k]), msg: errs[k].Error()})
-			} else {
-				sub.fc.ack(fpAck{seq: sub.seq, round: rounds[k]})
-			}
+			sub.fc.ack(fpAck{seq: sub.seq, round: rounds[k], err: errs[k]})
 			sub.frame.release()
 		}
 	}
-}
-
-// fpUvarint decodes one uvarint off the front of b.
-func fpUvarint(b []byte) (uint64, []byte, bool) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, false
-	}
-	return v, b[n:], true
 }

@@ -238,6 +238,10 @@ func (n *node) run(ctx context.Context) (*Result, error) {
 	phase := phaseDeal
 	timer := time.NewTimer(n.window)
 	defer timer.Stop()
+	// A node whose deal phase closed early must still hear the votes of
+	// nodes that waited out the whole deal window: those arrive up to a
+	// window after it.
+	lateVotes := time.Now().Add(2 * n.window)
 
 	advance := func() (*Result, error, bool) {
 		switch phase {
@@ -248,6 +252,10 @@ func (n *node) run(ctx context.Context) (*Result, error) {
 			phase = phaseResponse
 			timer.Reset(n.window)
 		case phaseResponse:
+			if wait := time.Until(lateVotes); wait > 0 && len(n.tally.votes) < n.tally.size {
+				timer.Reset(wait)
+				return nil, nil, false
+			}
 			implicated := n.tally.implicated()
 			if len(implicated) == 0 {
 				res, err := n.tally.finalize(n.cfg.Index, n.cfg.MinQual)

@@ -5,7 +5,7 @@
 //     (emulating the paper's tc-injected 40–160 ms RTTs, §6) and
 //     per-node traffic accounting used for the bandwidth estimates of
 //     §7;
-//   - a TCP transport (length-prefixed gob frames) for the atomd
+//   - a TCP transport (length-prefixed binary envelopes) for the atomd
 //     daemon and the distributed round engine.
 //
 // Endpoints are liveness-aware in the sense the distributed engine

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -13,8 +12,10 @@ import (
 )
 
 // TCPNode is a TCP-backed Endpoint for real multi-process deployments
-// (cmd/atomd). Frames are length-prefixed gob-encoded Messages. Peers
-// are addressed by "host:port"; connections are dialed lazily and kept
+// (cmd/atomd). Each Message travels as one binary envelope in the
+// daemon fast path's layout (see encodeFrame): type, sender, round and
+// payload; the receiver fills in To with its own address. Peers are
+// addressed by "host:port"; connections are dialed lazily and kept
 // open. A production deployment would wrap the dialed connections in
 // crypto/tls with pinned server certificates to realize the
 // authenticated channels of §2.1 — the framing below is agnostic to the
@@ -24,6 +25,9 @@ type TCPNode struct {
 	listener net.Listener
 	inbox    chan *Message
 	maxFrame int64
+	// done closes with the node, releasing readers blocked on a full
+	// inbox so Close can wait for them.
+	done chan struct{}
 
 	mu      sync.Mutex
 	conns   map[string]*tcpConn // outbound, keyed by peer address
@@ -86,6 +90,7 @@ func ListenTCPOpts(addr string, opts TCPOptions) (*TCPNode, error) {
 		listener: l,
 		inbox:    make(chan *Message, opts.Buffer),
 		maxFrame: opts.MaxFrame,
+		done:     make(chan struct{}),
 		conns:    make(map[string]*tcpConn),
 		inbound:  make(map[net.Conn]bool),
 	}
@@ -135,16 +140,14 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		n.mu.Lock()
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
+		msg.To = n.addr
+		// A full inbox blocks the reader (backpressure onto the peer's
+		// socket) until space frees or the node closes.
+		select {
+		case n.inbox <- msg:
+		case <-n.done:
 			return
 		}
-		func() {
-			defer func() { _ = recover() }() // inbox may close concurrently
-			n.inbox <- msg
-		}()
 	}
 }
 
@@ -158,6 +161,14 @@ func (n *TCPNode) Send(to string, msg *Message) error {
 // SendCtx implements Endpoint: Send with the dial and the frame write
 // bounded by the context's deadline.
 func (n *TCPNode) SendCtx(ctx context.Context, to string, msg *Message) error {
+	cp := *msg
+	cp.From = n.addr
+	// An oversized frame fails before any dial or write, so it never
+	// costs the peer connection.
+	frame, err := encodeFrame(&cp, n.maxFrame)
+	if err != nil {
+		return fmt.Errorf("transport: send to %s: %w", to, err)
+	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -188,9 +199,6 @@ func (n *TCPNode) SendCtx(ctx context.Context, to string, msg *Message) error {
 		}
 		n.mu.Unlock()
 	}
-	cp := *msg
-	cp.From = n.addr
-	cp.To = to
 	tc.wmu.Lock()
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = tc.conn.SetWriteDeadline(deadline)
@@ -223,7 +231,8 @@ func (n *TCPNode) SendCtx(ctx context.Context, to string, msg *Message) error {
 			}
 		}()
 	}
-	err := writeFrame(tc.conn, &cp, n.maxFrame)
+	// One Write per frame: prefix, header and payload go out together.
+	_, err = tc.conn.Write(frame)
 	if watchStop != nil {
 		tc.dlmu.Lock()
 		tc.writing = false
@@ -235,17 +244,13 @@ func (n *TCPNode) SendCtx(ctx context.Context, to string, msg *Message) error {
 		err = ctx.Err()
 	}
 	if err != nil {
-		// Connection went stale; drop it so the next send redials. An
-		// oversized frame never reached the wire, so the connection
-		// stays usable — keep it.
-		if !errors.Is(err, ErrFrameTooLarge) {
-			n.mu.Lock()
-			if n.conns[to] == tc {
-				delete(n.conns, to)
-			}
-			n.mu.Unlock()
-			tc.conn.Close()
+		// Connection went stale; drop it so the next send redials.
+		n.mu.Lock()
+		if n.conns[to] == tc {
+			delete(n.conns, to)
 		}
+		n.mu.Unlock()
+		tc.conn.Close()
 		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
 	return nil
@@ -281,6 +286,7 @@ func (n *TCPNode) Close() error {
 		return nil
 	}
 	n.closed = true
+	close(n.done)
 	for _, c := range n.conns {
 		c.conn.Close()
 	}
@@ -296,68 +302,71 @@ func (n *TCPNode) Close() error {
 	return nil
 }
 
-func writeFrame(w io.Writer, msg *Message, maxFrame int64) error {
-	var payload []byte
-	{
-		var buf frameBuffer
-		if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-			return err
-		}
-		payload = buf.b
+// encodeFrame renders msg as one envelope — u32_be length ‖
+// uvarint-len type ‖ uvarint-len from ‖ uvarint round ‖ payload, the
+// daemon fast path's frame layout. To is left off: the receiver is the
+// destination. Oversized frames fail before anything is allocated.
+func encodeFrame(msg *Message, maxFrame int64) ([]byte, error) {
+	size := uvarintLen(uint64(len(msg.Type))) + len(msg.Type) +
+		uvarintLen(uint64(len(msg.From))) + len(msg.From) +
+		uvarintLen(msg.Round) + len(msg.Payload)
+	if int64(size) > maxFrame {
+		return nil, fmt.Errorf("%w: %d-byte frame exceeds the %d-byte limit", ErrFrameTooLarge, size, maxFrame)
 	}
-	if int64(len(payload)) > maxFrame {
-		return fmt.Errorf("%w: %d-byte frame exceeds the %d-byte limit", ErrFrameTooLarge, len(payload), maxFrame)
-	}
-	// One Write per frame: the length prefix and payload go out
-	// together (callers additionally serialize on a per-connection
-	// mutex; a single buffer also halves the syscalls).
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[4:], payload)
-	_, err := w.Write(frame)
-	return err
+	frame := make([]byte, 4, 4+size)
+	binary.BigEndian.PutUint32(frame, uint32(size))
+	frame = binary.AppendUvarint(frame, uint64(len(msg.Type)))
+	frame = append(frame, msg.Type...)
+	frame = binary.AppendUvarint(frame, uint64(len(msg.From)))
+	frame = append(frame, msg.From...)
+	frame = binary.AppendUvarint(frame, msg.Round)
+	return append(frame, msg.Payload...), nil
 }
 
+func uvarintLen(v uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], v)
+}
+
+// readFrame reads one envelope. The length prefix is checked against
+// maxFrame before the body is allocated: the prefix alone can claim
+// 4 GiB.
 func readFrame(r io.Reader, maxFrame int64) (*Message, error) {
 	var ln [4]byte
 	if _, err := io.ReadFull(r, ln[:]); err != nil {
 		return nil, err
 	}
 	size := binary.BigEndian.Uint32(ln[:])
-	// Reject before allocating: the prefix alone can claim 4 GiB.
 	if int64(size) > maxFrame {
 		return nil, fmt.Errorf("%w: %d-byte frame exceeds the %d-byte limit", ErrFrameTooLarge, size, maxFrame)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	body := make([]byte, size)
+	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	var msg Message
-	if err := gob.NewDecoder(&frameReader{b: payload}).Decode(&msg); err != nil {
-		return nil, err
+	return decodeFrame(body)
+}
+
+// decodeFrame parses an envelope body (everything after the length
+// prefix). The payload aliases body.
+func decodeFrame(body []byte) (*Message, error) {
+	var head [2]string // type, from
+	for i := range head {
+		n, k := binary.Uvarint(body)
+		if k <= 0 || n > uint64(len(body)-k) {
+			return nil, errBadFrame
+		}
+		head[i], body = string(body[k:k+int(n)]), body[k+int(n):]
 	}
-	return &msg, nil
-}
-
-// frameBuffer is a minimal append-only writer (avoids importing bytes
-// for two call sites).
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type frameReader struct {
-	b []byte
-	i int
-}
-
-func (f *frameReader) Read(p []byte) (int, error) {
-	if f.i >= len(f.b) {
-		return 0, io.EOF
+	round, k := binary.Uvarint(body)
+	if k <= 0 {
+		return nil, errBadFrame
 	}
-	n := copy(p, f.b[f.i:])
-	f.i += n
-	return n, nil
+	msg := &Message{Type: head[0], From: head[1], Round: round}
+	if body = body[k:]; len(body) > 0 {
+		msg.Payload = body
+	}
+	return msg, nil
 }
+
+var errBadFrame = errors.New("transport: malformed frame")

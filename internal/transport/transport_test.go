@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -330,4 +332,87 @@ func TestTCPFrameTooLargeRead(t *testing.T) {
 	case <-time.After(150 * time.Millisecond):
 		// Dropped before allocation, connection torn down: correct.
 	}
+}
+
+// TestTCPCloseWithFullInbox checks Close returns while a reader is
+// blocked delivering into a full inbox nobody drains.
+func TestTCPCloseWithFullInbox(t *testing.T) {
+	b, err := ListenTCP("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ListenTCP("127.0.0.1:0", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for i := 0; i < 3; i++ {
+		if err := a.Send(b.Addr(), &Message{Type: "fill", Round: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wait until the first frame fills the inbox; the reader then blocks
+	// on the second.
+	for deadline := time.Now().Add(2 * time.Second); len(b.Inbox()) < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("no frame arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close hung on a reader blocked by the full inbox")
+	}
+}
+
+// FuzzTCPEnvelope checks the frame decoder on arbitrary bytes (no
+// panic; a decoded frame re-encodes to an identical one), that a
+// length prefix above the limit fails with ErrFrameTooLarge before the
+// body is read, and that encode→read round-trips every field but To,
+// which the receiver fills in.
+func FuzzTCPEnvelope(f *testing.F) {
+	valid, _ := encodeFrame(&Message{Type: "batch", From: "127.0.0.1:9000", Round: 7, Payload: []byte("payload")}, DefaultMaxFrame)
+	f.Add(valid, "batch", "127.0.0.1:9000", uint64(7), []byte("payload"))
+	f.Add(valid[4:], "", "", uint64(0), []byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 'x'}, "join", "h:1", uint64(1)<<63, []byte(nil))
+	f.Add([]byte{0, 0, 0, 3, 0x80, 0x80, 0x80}, "", "", uint64(0), []byte{0})
+	f.Fuzz(func(t *testing.T, raw []byte, typ, from string, round uint64, payload []byte) {
+		if msg, err := decodeFrame(raw); err == nil {
+			frame, err := encodeFrame(msg, DefaultMaxFrame)
+			if err != nil {
+				t.Fatalf("re-encoding a decoded frame: %v", err)
+			}
+			again, err := readFrame(bytes.NewReader(frame), DefaultMaxFrame)
+			if err != nil || !sameMessage(again, msg) {
+				t.Fatalf("decoded frame %+v re-read as %+v (%v)", msg, again, err)
+			}
+		}
+
+		const limit = 64
+		_, err := readFrame(bytes.NewReader(raw), limit)
+		if len(raw) >= 4 && binary.BigEndian.Uint32(raw) > limit && !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("prefix %d over a %d-byte limit: got %v, want ErrFrameTooLarge", binary.BigEndian.Uint32(raw), limit, err)
+		}
+
+		want := &Message{Type: typ, From: from, Round: round, Payload: payload}
+		frame, err := encodeFrame(want, DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := readFrame(bytes.NewReader(frame), DefaultMaxFrame)
+		if err != nil || !sameMessage(got, want) {
+			t.Fatalf("round trip of %+v gave %+v (%v)", want, got, err)
+		}
+		if _, err := encodeFrame(want, int64(len(frame)-5)); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("frame one byte over the limit encoded: %v", err)
+		}
+	})
+}
+
+func sameMessage(a, b *Message) bool {
+	return a.Type == b.Type && a.From == b.From && a.Round == b.Round && bytes.Equal(a.Payload, b.Payload)
 }

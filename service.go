@@ -292,35 +292,25 @@ func (n *Network) Serve(ctx context.Context, opts ServeOptions) (*Service, error
 // caller can WaitRound for the message's batch). A submission racing
 // the scheduler's seal lands in the next round.
 func (s *Service) Submit(user int, msg []byte) (uint64, error) {
-	return s.submit(func(r *Round) error { return r.Submit(user, msg) })
-}
-
-// SubmitEncoded admits a wire-encoded submission — the path remote
-// users take through the daemon's ingestion endpoint. round names the
-// round the submission was encrypted for (trap-variant encodings bind
-// to a round's trustee key): if that round is no longer open the
-// submission fails with ErrRoundClosed and the client re-fetches the
-// open round with Current. Pass round 0 to target whichever round is
-// open (NIZK encodings are round-independent).
-func (s *Service) SubmitEncoded(round uint64, user int, wire []byte) (uint64, error) {
-	if round == 0 {
-		return s.submit(func(r *Round) error { return r.SubmitEncoded(user, wire) })
+	for attempt := 0; ; attempt++ {
+		s.mu.Lock()
+		r := s.open
+		s.mu.Unlock()
+		if r == nil {
+			return 0, ErrServiceClosed
+		}
+		err := r.Submit(user, msg)
+		if err == nil {
+			s.account(r)
+			return r.ID(), nil
+		}
+		// ErrRoundClosed here means the scheduler sealed r under us —
+		// the next open round takes the submission. Anything else is a
+		// real rejection (counted by the round's own RoundState).
+		if !errors.Is(err, ErrRoundClosed) || attempt >= 3 {
+			return 0, err
+		}
 	}
-	s.mu.Lock()
-	r := s.open
-	s.mu.Unlock()
-	if r == nil {
-		return 0, ErrServiceClosed
-	}
-	if r.ID() != round {
-		return 0, fmt.Errorf("%w: round %d is not open for submissions (round %d is)", ErrRoundClosed, round, r.ID())
-	}
-	err := r.SubmitEncoded(user, wire)
-	if err != nil {
-		return 0, err
-	}
-	s.account(r)
-	return r.ID(), nil
 }
 
 // SubmitEncodedBatch admits many wire-encoded submissions into whichever
@@ -378,12 +368,12 @@ func (s *Service) SubmitEncodedBatch(users []int, wires [][]byte) (rounds []uint
 }
 
 // SubmitEncodedBatchInto is SubmitEncodedBatch pinned to a specific
-// round — the batched analog of SubmitEncoded's nonzero-round form
-// (trap-variant encodings bind to a round's trustee key, so they must
-// not silently retry into a successor round). round 0 delegates to
-// SubmitEncodedBatch. If the pinned round is no longer open every
-// submission fails with ErrRoundClosed and the client re-fetches the
-// open round.
+// round, the round the submissions were encrypted for (trap-variant
+// encodings bind to a round's trustee key, so they must not silently
+// retry into a successor round). round 0 delegates to
+// SubmitEncodedBatch (NIZK encodings are round-independent). If the
+// pinned round is no longer open every submission fails with
+// ErrRoundClosed and the client re-fetches the open round with Current.
 func (s *Service) SubmitEncodedBatchInto(round uint64, users []int, wires [][]byte) (rounds []uint64, errs []error) {
 	if round == 0 {
 		return s.SubmitEncodedBatch(users, wires)
@@ -419,30 +409,6 @@ func (s *Service) SubmitEncodedBatchInto(round uint64, users []int, wires [][]by
 		s.account(r)
 	}
 	return rounds, errs
-}
-
-// submit runs fn against the open round, retrying into the next round
-// when a seal races the submission.
-func (s *Service) submit(fn func(*Round) error) (uint64, error) {
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		r := s.open
-		s.mu.Unlock()
-		if r == nil {
-			return 0, ErrServiceClosed
-		}
-		err := fn(r)
-		if err == nil {
-			s.account(r)
-			return r.ID(), nil
-		}
-		// ErrRoundClosed here means the scheduler sealed r under us —
-		// the next open round takes the submission. Anything else is a
-		// real rejection (counted by the round's own RoundState).
-		if !errors.Is(err, ErrRoundClosed) || attempt >= 3 {
-			return 0, err
-		}
-	}
 }
 
 // account fires the size trigger once the round an admission landed in

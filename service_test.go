@@ -491,10 +491,10 @@ func TestServiceDuplicateRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.SubmitEncoded(r1, 1, wire); err != nil {
+	if _, err := submitEncoded(svc, r1, 1, wire); err != nil {
 		t.Fatalf("first submission: %v", err)
 	}
-	if _, err := svc.SubmitEncoded(r1, 2, wire); !errors.Is(err, ErrDuplicateSubmission) {
+	if _, err := submitEncoded(svc, r1, 2, wire); !errors.Is(err, ErrDuplicateSubmission) {
 		t.Fatalf("replay into round %d: %v, want ErrDuplicateSubmission", r1, err)
 	}
 	// Fill the round so it seals, then replay into the successor.
@@ -514,13 +514,19 @@ func TestServiceDuplicateRejection(t *testing.T) {
 	if r2 == r1 {
 		t.Fatal("round never rotated")
 	}
-	if _, err := svc.SubmitEncoded(0, 9, wire); err != nil {
+	if _, err := submitEncoded(svc, 0, 9, wire); err != nil {
 		t.Fatalf("replay into round %d: %v, want acceptance (per-round dedup)", r2, err)
 	}
 	// Targeting the sealed round must fail typed.
-	if _, err := svc.SubmitEncoded(r1, 10, wire); !errors.Is(err, ErrRoundClosed) {
+	if _, err := submitEncoded(svc, r1, 10, wire); !errors.Is(err, ErrRoundClosed) {
 		t.Fatalf("submission into sealed round %d: %v, want ErrRoundClosed", r1, err)
 	}
+}
+
+// submitEncoded admits one wire submission through the batched path.
+func submitEncoded(svc *Service, round uint64, user int, wire []byte) (uint64, error) {
+	rounds, errs := svc.SubmitEncodedBatchInto(round, []int{user}, [][]byte{wire})
+	return rounds[0], errs[0]
 }
 
 // TestServiceBatchSubmit drives the batched admission plane end to end:
