@@ -47,13 +47,11 @@
 // atom.ErrTrapTripped), atom.ErrProofRejected, atom.ErrRoundAborted,
 // atom.ErrBadSubmission, … — and an Observer installed with
 // Network.SetObserver receives per-iteration and per-round
-// statistics. The one-shot surface (SubmitMessage, Run) remains as a
-// thin wrapper over an implicit current round.
+// statistics. Network.Serve runs the same round lifecycle continuously:
+// a scheduler opens, seals and mixes rounds on its own cadence.
 package atom
 
 import (
-	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -145,13 +143,16 @@ func (c Config) internal() protocol.Config {
 
 // Network is a complete Atom deployment: groups with threshold keys,
 // the permutation-network wiring, and (in the trap variant) the
-// trustees. Rounds are opened against it with OpenRound; the
-// SubmitMessage/Run methods are the legacy one-round-at-a-time surface
-// over an implicit current round.
+// trustees. Rounds are opened against it with OpenRound, or by a
+// continuous Service (Serve).
 type Network struct {
-	d      *protocol.Deployment
-	client *protocol.Client
-	obs    atomic.Value // *observerBox
+	d *protocol.Deployment
+	// clients holds one submission client per variant, indexed by
+	// protocol.Variant. Both are fixed at construction, so a round
+	// encrypts under the variant it was opened with, whatever
+	// SwitchVariant did since.
+	clients [2]*protocol.Client
+	obs     atomic.Value // *observerBox
 
 	// Trust-complete setup state (NewNetworkDKG / RestoreTrust): the
 	// verifiable randomness chain, the beacon committee's threshold
@@ -170,12 +171,23 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	valid := d.Config()
-	client, err := protocol.NewClient(&valid)
-	if err != nil {
-		return nil, err
+	return newNetwork(d)
+}
+
+// newNetwork wraps a built deployment, preparing a submission client
+// for each variant.
+func newNetwork(d *protocol.Deployment) (*Network, error) {
+	n := &Network{d: d}
+	cfg := d.Config()
+	for _, v := range []protocol.Variant{protocol.VariantNIZK, protocol.VariantTrap} {
+		cfg.Variant = v
+		c, err := protocol.NewClient(&cfg)
+		if err != nil {
+			return nil, err
+		}
+		n.clients[v] = c
 	}
-	return &Network{d: d, client: client}, nil
+	return n, nil
 }
 
 // MarshalState serializes the network's durable key material — group
@@ -195,12 +207,8 @@ func RestoreNetwork(cfg Config, state []byte, lastRound uint64) (*Network, error
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	valid := d.Config()
-	client, err := protocol.NewClient(&valid)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return &Network{d: d, client: client}, nil
+	n, err := newNetwork(d)
+	return n, wrapErr(err)
 }
 
 // Groups returns G, the number of groups per layer.
@@ -221,51 +229,6 @@ type PadStats = elgamal.PadStats
 // PadStats returns the network's current offline-pad accounting.
 func (n *Network) PadStats() PadStats { return n.d.PadStats() }
 
-// SubmitMessage pads, encrypts and submits msg for the given user,
-// choosing the entry group as user mod G (an untrusted load balancer's
-// policy; the choice does not affect anonymity — users are anonymous
-// among all honest users, not just those sharing their entry group).
-func (n *Network) SubmitMessage(user int, msg []byte) error {
-	return n.SubmitMessageTo(user, user%n.d.NumGroups(), msg)
-}
-
-// SubmitMessageTo is SubmitMessage with an explicit entry group. It
-// targets the implicit current round; Round.SubmitTo is the same
-// operation on an explicit round.
-func (n *Network) SubmitMessageTo(user, gid int, msg []byte) error {
-	return n.submitTo(n.d.CurrentRound(), user, gid, msg)
-}
-
-// submitTo encrypts msg for entry group gid and submits it into rs —
-// the single implementation behind both the legacy surface and
-// Round.SubmitTo.
-func (n *Network) submitTo(rs *protocol.RoundState, user, gid int, msg []byte) error {
-	pk, err := n.d.GroupPK(gid)
-	if err != nil {
-		return wrapErr(err)
-	}
-	switch rs.Variant() {
-	case protocol.VariantNIZK:
-		sub, err := n.client.Submit(msg, pk, gid, entropy())
-		if err != nil {
-			return wrapErr(err)
-		}
-		return wrapErr(rs.SubmitUser(user, sub))
-	case protocol.VariantTrap:
-		tpk, err := rs.TrusteePK()
-		if err != nil {
-			return wrapErr(err)
-		}
-		sub, err := n.client.SubmitTrap(msg, pk, tpk, gid, entropy())
-		if err != nil {
-			return wrapErr(err)
-		}
-		return wrapErr(rs.SubmitTrapUser(user, sub))
-	default:
-		return fmt.Errorf("atom: unknown variant")
-	}
-}
-
 // Result is the outcome of one anonymous broadcast round.
 type Result struct {
 	// Messages holds the anonymized plaintexts in canonical (sorted)
@@ -275,34 +238,6 @@ type Result struct {
 	// Stats reports the round's per-iteration latencies and work
 	// totals.
 	Stats RoundStats
-}
-
-// Run executes the current round: T mixing iterations across all
-// groups plus the variant-specific finale. A detected attack aborts
-// the round with an error classified by the package taxonomy
-// (errors.Is against ErrTrapTripped, ErrProofRejected,
-// ErrRoundAborted, …); in the trap variant the trustees destroy the
-// decryption key first, so no tampered message is ever revealed.
-//
-// Run is the blocking legacy surface; OpenRound/Round.Mix add
-// concurrency-safe submission, context cancellation and pipelining.
-func (n *Network) Run() (*Result, error) {
-	rs := n.d.CurrentRound()
-	submissions := rs.Pending()
-	res, err := n.d.RunRoundCtx(context.Background(), rs, n.hooksFor())
-	obs := n.observer()
-	if err != nil {
-		err = wrapErr(err)
-		if obs != nil && obs.RoundFailed != nil {
-			obs.RoundFailed(rs.ID(), err)
-		}
-		return nil, err
-	}
-	stats := statsFromResult(res, submissions)
-	if obs != nil && obs.RoundMixed != nil {
-		obs.RoundMixed(stats)
-	}
-	return &Result{Messages: res.Messages, Stats: stats}, nil
 }
 
 // EntryKey returns the wire encoding of group gid's public key, for
@@ -335,34 +270,9 @@ func (n *Network) Recover(gid int, replacements []int) error {
 	return n.d.RecoverGroup(gid, replacements)
 }
 
-// IdentifyMaliciousUsers runs the trap variant's retroactive blame
-// procedure after an aborted round, returning the offending user ids
-// and per-user explanations.
-func (n *Network) IdentifyMaliciousUsers() ([]int, map[int]string, error) {
-	report, err := n.d.IdentifyMaliciousUsers()
-	if err != nil {
-		return nil, nil, err
-	}
-	return report.BadUsers, report.Reasons, nil
-}
-
-// ResetRound discards the pending round's submissions (after handling
-// an aborted round); successful rounds reset automatically.
-func (n *Network) ResetRound() error { return n.d.ResetRound() }
-
-// SwitchVariant changes the active-attack defense for subsequent rounds
-// — the paper's §4.6 escalation path from traps to NIZKs under a
-// persistent denial-of-service attack. Clients must be rebuilt with the
-// new variant.
-func (n *Network) SwitchVariant(v Variant) error {
-	if err := n.d.SwitchVariant(v.internal()); err != nil {
-		return err
-	}
-	cfg := n.d.Config()
-	client, err := protocol.NewClient(&cfg)
-	if err != nil {
-		return err
-	}
-	n.client = client
-	return nil
-}
+// SwitchVariant changes the active-attack defense for rounds opened
+// afterwards — the paper's §4.6 escalation path from traps to NIZKs
+// under a persistent denial-of-service attack. Rounds opened before the
+// switch keep their variant and keep accepting Submit. Remote clients
+// must be rebuilt with the new variant.
+func (n *Network) SwitchVariant(v Variant) { n.d.SwitchVariant(v.internal()) }

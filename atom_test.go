@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,6 +21,32 @@ func testNetworkConfig(v Variant, msgSize int) Config {
 	}
 }
 
+// numbered returns n messages built from format and each index.
+func numbered(format string, n int) []string {
+	msgs := make([]string, n)
+	for i := range msgs {
+		msgs[i] = fmt.Sprintf(format, i)
+	}
+	return msgs
+}
+
+// submitAndMix opens a round on n, submits msgs[u] as user u and mixes
+// the round.
+func submitAndMix(t *testing.T, n *Network, msgs []string) (*Result, error) {
+	t.Helper()
+	ctx := context.Background()
+	r, err := n.OpenRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, m := range msgs {
+		if err := r.Submit(u, []byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r.Mix(ctx)
+}
+
 func TestPublicAPINIZKRound(t *testing.T) {
 	n, err := NewNetwork(testNetworkConfig(NIZK, 32))
 	if err != nil {
@@ -28,15 +55,12 @@ func TestPublicAPINIZKRound(t *testing.T) {
 	if n.Groups() != 4 {
 		t.Fatalf("Groups = %d", n.Groups())
 	}
+	msgs := numbered("public msg %d", 8)
 	want := map[string]bool{}
-	for u := 0; u < 8; u++ {
-		msg := fmt.Sprintf("public msg %d", u)
-		want[msg] = true
-		if err := n.SubmitMessage(u, []byte(msg)); err != nil {
-			t.Fatal(err)
-		}
+	for _, m := range msgs {
+		want[m] = true
 	}
-	res, err := n.Run()
+	res, err := submitAndMix(t, n, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +79,7 @@ func TestPublicAPITrapRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := 0; u < 8; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("trap msg %d", u))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := n.Run()
+	res, err := submitAndMix(t, n, numbered("trap msg %d", 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +174,20 @@ func TestPublicAPIMicroblog(t *testing.T) {
 	if len(mb.Board()) != len(posts) {
 		t.Fatalf("board has %d posts", len(mb.Board()))
 	}
+	// Publish replaced the round: the next post lands in a new one.
+	if err := mb.Post(0, "next round"); err != nil {
+		t.Fatal(err)
+	}
+	next, err := mb.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next) != 1 || next[0].Round == published[0].Round {
+		t.Fatalf("second publish: %+v after round %d", next, published[0].Round)
+	}
+	if empty, err := mb.Publish(); err != nil || len(empty) != 0 {
+		t.Fatalf("publish with nothing posted: %v, %v", empty, err)
+	}
 }
 
 func TestPublicAPIDialing(t *testing.T) {
@@ -175,9 +208,7 @@ func TestPublicAPIDialing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SubmitMessage(0, req); err != nil {
-		t.Fatal(err)
-	}
+	msgs := []string{string(req)}
 	// Cover traffic: other users dial each other.
 	for u := 1; u < 8; u++ {
 		x, _ := NewDialIdentity()
@@ -186,11 +217,9 @@ func TestPublicAPIDialing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.SubmitMessage(u, r); err != nil {
-			t.Fatal(err)
-		}
+		msgs = append(msgs, string(r))
 	}
-	res, err := n.Run()
+	res, err := submitAndMix(t, n, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +286,7 @@ func TestPublicAPIFaultRecovery(t *testing.T) {
 	if need {
 		t.Fatal("recovery did not restore the group")
 	}
-	for u := 0; u < 8; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("m%d", u))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := n.Run(); err != nil {
+	if _, err := submitAndMix(t, n, numbered("m%d", 8)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -318,15 +342,8 @@ func TestPublicAPISwitchVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SwitchVariant(NIZK); err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 8; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("post-fallback %d", u))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := n.Run()
+	n.SwitchVariant(NIZK)
+	res, err := submitAndMix(t, n, numbered("post-fallback %d", 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,28 +360,54 @@ func TestPublicAPISwitchVariant(t *testing.T) {
 	}
 }
 
-func TestPublicAPIResetRound(t *testing.T) {
-	n, err := NewNetwork(testNetworkConfig(NIZK, 32))
+// TestSwitchVariantKeepsOpenRound checks that a round opened before
+// SwitchVariant keeps its variant: Submit into it still encrypts for
+// that variant, including Submit calls racing the switch, and the round
+// mixes every admitted message.
+func TestSwitchVariantKeepsOpenRound(t *testing.T) {
+	n, err := NewNetwork(testNetworkConfig(Trap, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SubmitMessage(0, []byte("stale")); err != nil {
+	ctx := context.Background()
+	r, err := n.OpenRound(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.ResetRound(); err != nil {
-		t.Fatal(err)
+	const users = 8
+	errs := make(chan error, users)
+	var wg sync.WaitGroup
+	for u := 0; u < users; u++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- r.Submit(u, []byte(fmt.Sprintf("pre-switch %d", u)))
+		}()
 	}
-	for u := 0; u < 8; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("fresh %d", u))); err != nil {
-			t.Fatal(err)
+	n.SwitchVariant(NIZK)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("Submit into the trap round across the switch: %v", err)
 		}
 	}
-	res, err := n.Run()
+	if err := r.Submit(users, []byte("after the switch")); err != nil {
+		t.Fatalf("Submit into the trap round after the switch: %v", err)
+	}
+	res, err := r.Mix(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Messages) != 8 {
-		t.Fatalf("%d messages; the stale submission should have been discarded", len(res.Messages))
+	if len(res.Messages) != users+1 {
+		t.Fatalf("%d messages, want %d", len(res.Messages), users+1)
+	}
+	next, err := n.OpenRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.TrusteeKey(); !errors.Is(err, ErrVariantMismatch) {
+		t.Fatalf("round opened after the switch: trustee key error %v, want ErrVariantMismatch", err)
 	}
 }
 

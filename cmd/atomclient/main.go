@@ -1,34 +1,24 @@
 // Command atomclient is the user side of an atomd deployment: it
 // fetches the deployment's public keys, performs all cryptography
 // locally (padding, onion encryption, proof of plaintext knowledge,
-// and — in the trap variant — trap generation and commitment), ships
-// the opaque submissions, and can trigger and print a round. Every
-// request is bounded by -timeout, so a dead daemon fails fast instead
-// of hanging.
+// and — in the trap variant — trap generation and commitment), and
+// pipelines the opaque submissions over the daemon's multiplexed fast
+// path (the address Info advertises) into whichever round atomd's
+// continuous service has open, re-encrypting for the successor when a
+// round seals mid-batch. -await waits for the batch's rounds to publish
+// and prints them. Every request is bounded by -timeout, so a dead
+// daemon fails fast instead of hanging.
 //
-// Explicit rounds: open a round (printing its id and, in the trap
-// variant, its trustee key), submit into a specific round — possibly
-// while an earlier one mixes — then mix it:
-//
-//	atomclient -server host:9000 -open -user 3 -submit "hello"
-//	atomclient -server host:9000 -round 7 -user 4 -submit "hi" -trusteekey <hex from -open>
-//	atomclient -server host:9000 -round 7 -mix
-//
-// Batch submission drives load from one process over one connection:
 // -count replicates -submit, -submit-file reads one message per line,
-// and users count up from -user. Against an atomd -serve deployment,
-// -ingest pipelines the batch over the daemon's multiplexed fast path
-// (the address Info advertises) into whichever round the continuous
-// service has open, re-encrypting for the successor when a round seals
-// mid-batch; -await waits for the batch's rounds to publish:
+// and users count up from -user:
 //
-//	atomclient -server host:9000 -submit "load %d" -count 4096 -ingest -await
-//	atomclient -server host:9000 -submit-file messages.txt -ingest
+//	atomclient -server host:9000 -submit "hello" -await
+//	atomclient -server host:9000 -submit "load %d" -count 4096 -await
+//	atomclient -server host:9000 -submit-file messages.txt
 package main
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,19 +38,14 @@ func main() {
 		server  = flag.String("server", "127.0.0.1:9000", "atomd address")
 		user    = flag.Int("user", 0, "user id (picks the entry group: user mod G)")
 		submit  = flag.String("submit", "", "message to submit")
-		open    = flag.Bool("open", false, "open a new round and print its id")
-		round   = flag.Uint64("round", 0, "round id for -submit/-mix")
-		mix     = flag.Bool("mix", false, "mix the round given by -round and print results")
-		tkey    = flag.String("trusteekey", "", "hex trustee key of the target round (trap variant, with -round)")
 		timeout = flag.Duration("timeout", 2*time.Minute, "per-request deadline")
 		count   = flag.Int("count", 1, "batch mode: submit this many copies of -submit (a %d in the text becomes the message index)")
 		file    = flag.String("submit-file", "", "batch mode: submit every line of this file as one message")
-		ingest  = flag.Bool("ingest", false, "pipeline the batch over the fast path into the continuous service's open round (atomd -serve)")
-		await   = flag.Bool("await", false, "with -ingest: wait for the submitted rounds to publish and print them")
+		await   = flag.Bool("await", false, "wait for the submitted rounds to publish and print them")
 	)
 	flag.Parse()
-	if *submit == "" && *file == "" && !*open && !*mix {
-		log.Fatal("atomclient: nothing to do (use -open, -submit, -submit-file and/or -mix)")
+	if *submit == "" && *file == "" {
+		log.Fatal("atomclient: nothing to do (use -submit or -submit-file)")
 	}
 
 	ctx := context.Background()
@@ -81,105 +66,33 @@ func main() {
 		log.Fatalf("atomclient: fetching deployment info: %v", err)
 	}
 
-	var opened *daemon.RoundInfo
-	if *open {
+	msgs := buildBatch(*submit, *file, *count)
+	variant := atom.NIZK
+	if info.Trap {
+		variant = atom.Trap
+	}
+	// Only the fields the client-side crypto needs must match the
+	// daemon; keys arrive over the wire.
+	ac, err := atom.NewClient(atom.Config{
+		Servers: 1, Groups: info.Groups, GroupSize: 1,
+		MessageSize: info.MessageSize, Variant: variant, Iterations: 1,
+	})
+	if err != nil {
+		log.Fatalf("atomclient: %v", err)
+	}
+	published := ingestBatch(ctx, info, *server, ac, *user, msgs, *timeout)
+	if !*await {
+		return
+	}
+	for _, rid := range published {
 		rctx, cancel := withDeadline()
-		opened, err = cli.OpenRound(rctx)
+		out, err := cli.Await(rctx, rid)
 		cancel()
 		if err != nil {
-			log.Fatalf("atomclient: opening round: %v", err)
+			log.Fatalf("atomclient: awaiting round %d: %v", rid, err)
 		}
-		if len(opened.TrusteeKey) > 0 {
-			fmt.Printf("opened round %d (trustee key %x)\n", opened.ID, opened.TrusteeKey)
-		} else {
-			fmt.Printf("opened round %d\n", opened.ID)
-		}
-	}
-
-	if *submit != "" || *file != "" {
-		msgs := buildBatch(*submit, *file, *count)
-		variant := atom.NIZK
-		if info.Trap {
-			variant = atom.Trap
-		}
-		// Only the fields the client-side crypto needs must match the
-		// daemon; keys arrive over the wire.
-		ac, err := atom.NewClient(atom.Config{
-			Servers: 1, Groups: info.Groups, GroupSize: 1,
-			MessageSize: info.MessageSize, Variant: variant, Iterations: 1,
-		})
-		if err != nil {
-			log.Fatalf("atomclient: %v", err)
-		}
-
-		if *ingest {
-			// Continuous service: submit the batch into whichever round
-			// is open, re-fetching when a seal lands mid-batch.
-			published := ingestBatch(ctx, info, *server, ac, *user, msgs, *timeout)
-			if *await {
-				for _, rid := range published {
-					rctx, cancel := withDeadline()
-					out, err := cli.Await(rctx, rid)
-					cancel()
-					if err != nil {
-						log.Fatalf("atomclient: awaiting round %d: %v", rid, err)
-					}
-					fmt.Printf("round %d published:\n", rid)
-					printMessages(out)
-				}
-			}
-		} else {
-			// An explicit round. Trustee keys are per-round: a submission
-			// must encrypt against the key of the round it targets — the
-			// open reply's, or the -trusteekey flag's.
-			target := *round
-			var trusteeKey []byte
-			switch {
-			case opened != nil:
-				target, trusteeKey = opened.ID, opened.TrusteeKey
-			case target == 0:
-				log.Fatal("atomclient: -submit needs -open, -round or -ingest")
-			case info.Trap:
-				if *tkey == "" {
-					log.Fatal("atomclient: -round submissions on a trap deployment need -trusteekey (printed by -open)")
-				}
-				if trusteeKey, err = hex.DecodeString(*tkey); err != nil {
-					log.Fatalf("atomclient: bad -trusteekey: %v", err)
-				}
-			}
-			for i, m := range msgs {
-				u := *user + i
-				gid := u % info.Groups
-				wire, err := ac.EncryptSubmission(m, info.EntryKeys[gid], trusteeKey, gid)
-				if err != nil {
-					log.Fatalf("atomclient: encrypting for user %d: %v", u, err)
-				}
-				rctx, cancel := withDeadline()
-				err = cli.SubmitRound(rctx, target, u, wire)
-				cancel()
-				if err != nil {
-					log.Fatalf("atomclient: submitting (after %d accepted): %v", i, err)
-				}
-			}
-			fmt.Printf("submitted %d message(s) as users %d..%d\n", len(msgs), *user, *user+len(msgs)-1)
-		}
-	}
-
-	if *mix {
-		target := *round
-		if opened != nil && target == 0 {
-			target = opened.ID
-		}
-		if target == 0 {
-			log.Fatal("atomclient: -mix needs -round (or -open)")
-		}
-		rctx, cancel := withDeadline()
-		msgs, err := cli.Mix(rctx, target)
-		cancel()
-		if err != nil {
-			log.Fatalf("atomclient: mixing round %d: %v", target, err)
-		}
-		printMessages(msgs)
+		fmt.Printf("round %d published:\n", rid)
+		printMessages(out)
 	}
 }
 
@@ -228,7 +141,7 @@ func buildBatch(submit, file string, count int) [][]byte {
 func ingestBatch(ctx context.Context, info *daemon.Info, server string, ac *atom.Client,
 	base int, msgs [][]byte, timeout time.Duration) []uint64 {
 	if info.SubmitAddr == "" {
-		log.Fatal("atomclient: the daemon advertises no fast path (start atomd with -serve)")
+		log.Fatal("atomclient: the daemon advertises no fast path")
 	}
 	addr := dialable(info.SubmitAddr, server)
 	fc, err := daemon.DialFast(addr)

@@ -1,23 +1,19 @@
 // Command atomd hosts an Atom deployment behind a TCP endpoint: it
 // forms the anytrust groups, runs their distributed key generation, and
-// serves the daemon protocol (key discovery, submission intake, round
-// execution) to remote atomclient instances.
+// runs the continuous round pipeline for remote atomclient instances.
+// Submissions are admitted into whichever round is open (proof
+// verification and duplicate rejection at admission time), the round
+// scheduler seals at -interval or -capacity, and sealed rounds mix back
+// to back with up to -inflight in flight. Submissions arrive over the
+// multiplexed fast-path listener (-fastpath, by default an ephemeral
+// port on the -listen host), whose address the control plane's Info
+// advertises; clients read each round's published messages with Await:
 //
 //	atomd -listen :9000 -servers 12 -groups 4 -groupsize 3 -variant trap
+//	atomd -listen :9000 -interval 500ms -capacity 1024
 //
 // Clients keep all secrets: they encrypt and prove locally and ship
 // opaque submissions (see cmd/atomclient).
-//
-// With -serve, atomd additionally runs the continuous ingestion
-// pipeline: submissions are admitted into whichever round is open
-// (proof verification and duplicate rejection at admission time), the
-// round scheduler seals at -interval or -capacity, and sealed rounds
-// mix back to back with up to -inflight in flight. Submissions arrive
-// over the multiplexed fast-path listener (-fastpath, by default an
-// ephemeral port on the -listen host), whose address Info advertises
-// to clients (atomclient -ingest):
-//
-//	atomd -listen :9000 -serve -interval 500ms -capacity 1024
 //
 // -prewarm N keeps re-encryption pads banked offline for rounds of up
 // to N vectors: the scheduler tops the bank up between seals, so sealed
@@ -28,7 +24,7 @@
 // re-encryption chain in bounded chunks so downstream members verify
 // chunk c while upstream members still prove chunk c+1:
 //
-//	atomd -listen :9000 -serve -members host1:9100,host1:9101,… -chunk 256
+//	atomd -listen :9000 -members host1:9100,host1:9101,… -chunk 256
 //
 // With -member, atomd instead hosts one group member of a distributed
 // round engine (internal/distributed): it listens on a TCP endpoint,
@@ -111,14 +107,13 @@ func main() {
 		seed        = flag.String("seed", "atomd", "beacon seed (all participants must agree)")
 		verbose     = flag.Bool("verbose", true, "log per-round and per-iteration statistics")
 		member      = flag.Bool("member", false, "host one distributed-round group member instead of a full deployment")
-		serve       = flag.Bool("serve", false, "run the continuous ingestion pipeline: rounds seal on a schedule and mix back to back")
-		interval    = flag.Duration("interval", time.Second, "-serve: round scheduler's seal deadline (Options.RoundInterval)")
-		capacity    = flag.Int("capacity", 0, "-serve: seal a round early at this many submissions (0 = deadline only)")
-		inflight    = flag.Int("inflight", 2, "-serve: rounds mixing concurrently (bounded pipeline depth)")
-		prewarmN    = flag.Int("prewarm", 0, "-serve: keep re-encryption pads banked offline for rounds of up to this many vectors (0 = off; consumed by the in-process mixer)")
+		interval    = flag.Duration("interval", time.Second, "round scheduler's seal deadline (Options.RoundInterval)")
+		capacity    = flag.Int("capacity", 0, "seal a round early at this many submissions (0 = deadline only)")
+		inflight    = flag.Int("inflight", 2, "rounds mixing concurrently (bounded pipeline depth)")
+		prewarmN    = flag.Int("prewarm", 0, "keep re-encryption pads banked offline for rounds of up to this many vectors (0 = off; consumed by the in-process mixer)")
 		membersF    = flag.String("members", "", "comma-separated addresses of pre-started atomd -member hosts, GID-major (g0/m0,g0/m1,…): coordinate distributed rounds over them instead of mixing in-process")
 		chunkSz     = flag.Int("chunk", 0, "-members: stream each re-encryption chain in chunks of at most this many vectors per destination batch (0 = whole batches)")
-		fastAddr    = flag.String("fastpath", "", "-serve: multiplexed binary submit listener address, advertised to clients via Info (empty = the -listen host on an ephemeral port)")
+		fastAddr    = flag.String("fastpath", "", "multiplexed binary submit listener address, advertised to clients via Info (empty = the -listen host on an ephemeral port)")
 		stateDir    = flag.String("state-dir", "", "persist durable state (journal + snapshots) here and resume from it on restart")
 		dkgMode     = flag.Bool("dkg", false, "establish trust with the dealerless setup ceremony: per-group joint-Feldman DKGs and a chained verifiable randomness beacon (persisted and resumed with -state-dir)")
 		dkgWindow   = flag.Duration("dkg-window", 500*time.Millisecond, "-dkg: per-phase ceremony message window (honest phases early-advance; this bounds the straggler wait)")
@@ -293,60 +288,57 @@ func main() {
 		log.Printf("atomd: producing beacon rounds every %v", *beaconTick)
 	}
 
-	if *serve {
-		// Continuous mode: the round scheduler seals at -interval (or
-		// -capacity) and rounds mix back to back, up to -inflight
-		// concurrently; clients submit over the fast path and Await. With a
-		// state dir the pipeline journals through it: seals before
-		// dispatch, outcomes on publish, pending rounds re-dispatched at
-		// the next start.
-		opts := atom.ServeOptions{
-			RoundInterval: *interval,
-			MaxBatch:      *capacity,
-			MaxInFlight:   *inflight,
-			Prewarm:       *prewarmN,
-		}
-		if st != nil {
-			opts.Journal = st
-		}
-		if *membersF != "" {
-			// Remote fleet: every group member is a pre-started
-			// `atomd -member` host; this daemon only coordinates (and the
-			// pad bank stays idle — pads feed the in-process mixer).
-			remote, err := memberBook(*membersF, cfg.Groups, cfg.GroupSize)
-			if err != nil {
-				log.Fatalf("atomd: -members: %v", err)
-			}
-			cluster, err := distributed.NewCluster(srv.Network().Deployment(), distributed.Options{
-				Attach:    distributed.TCPAttach(coordHost(*listen)),
-				Remote:    remote,
-				Workers:   *workers,
-				ChunkSize: *chunkSz,
-			})
-			if err != nil {
-				log.Fatalf("atomd: joining member fleet: %v", err)
-			}
-			defer cluster.Close()
-			opts.Mixer = cluster
-			log.Printf("atomd: distributed rounds over %d remote members (chunk %d)", len(remote), *chunkSz)
-		}
-		if err := srv.EnableService(context.Background(), opts); err != nil {
-			log.Fatalf("atomd: starting continuous service: %v", err)
-		}
-		log.Printf("atomd: continuous service up (interval %v, capacity %d, %d rounds in flight)",
-			*interval, *capacity, *inflight)
-		addr := *fastAddr
-		if addr == "" {
-			// -listen already bound successfully, so it splits.
-			host, _, _ := net.SplitHostPort(*listen)
-			addr = net.JoinHostPort(host, "0")
-		}
-		fa, err := srv.EnableFastPath(addr, daemon.FastPathOptions{Metrics: m})
-		if err != nil {
-			log.Fatalf("atomd: fast path listener: %v", err)
-		}
-		log.Printf("atomd: fast path on %s", fa)
+	// The round scheduler seals at -interval (or -capacity) and
+	// rounds mix back to back, up to -inflight concurrently; clients
+	// submit over the fast path and Await. With a state dir the
+	// pipeline journals through it: seals before dispatch, outcomes
+	// on publish, pending rounds re-dispatched at the next start.
+	opts := atom.ServeOptions{
+		RoundInterval: *interval,
+		MaxBatch:      *capacity,
+		MaxInFlight:   *inflight,
+		Prewarm:       *prewarmN,
 	}
+	if st != nil {
+		opts.Journal = st
+	}
+	if *membersF != "" {
+		// Remote fleet: every group member is a pre-started
+		// `atomd -member` host; this daemon only coordinates (and the
+		// pad bank stays idle — pads feed the in-process mixer).
+		remote, err := memberBook(*membersF, cfg.Groups, cfg.GroupSize)
+		if err != nil {
+			log.Fatalf("atomd: -members: %v", err)
+		}
+		cluster, err := distributed.NewCluster(srv.Network().Deployment(), distributed.Options{
+			Attach:    distributed.TCPAttach(coordHost(*listen)),
+			Remote:    remote,
+			Workers:   *workers,
+			ChunkSize: *chunkSz,
+		})
+		if err != nil {
+			log.Fatalf("atomd: joining member fleet: %v", err)
+		}
+		defer cluster.Close()
+		opts.Mixer = cluster
+		log.Printf("atomd: distributed rounds over %d remote members (chunk %d)", len(remote), *chunkSz)
+	}
+	if err := srv.EnableService(context.Background(), opts); err != nil {
+		log.Fatalf("atomd: starting continuous service: %v", err)
+	}
+	log.Printf("atomd: continuous service up (interval %v, capacity %d, %d rounds in flight)",
+		*interval, *capacity, *inflight)
+	addr := *fastAddr
+	if addr == "" {
+		// -listen already bound successfully, so it splits.
+		host, _, _ := net.SplitHostPort(*listen)
+		addr = net.JoinHostPort(host, "0")
+	}
+	fa, err := srv.EnableFastPath(addr, daemon.FastPathOptions{Metrics: m})
+	if err != nil {
+		log.Fatalf("atomd: fast path listener: %v", err)
+	}
+	log.Printf("atomd: fast path on %s", fa)
 	fmt.Printf("atomd: serving on %s\n", srv.Addr())
 
 	go srv.Serve()

@@ -127,15 +127,22 @@ func runDKGDemo(churn, workers int) error {
 	}
 	const msgs = 8
 	want := make(map[string]bool, msgs)
-	submit := func(n *atom.Network, tag string) error {
+	// round opens a round on n, submits msgs tagged messages and mixes
+	// it.
+	round := func(n *atom.Network, tag string) (*atom.Result, error) {
+		ctx := context.Background()
+		r, err := n.OpenRound(ctx)
+		if err != nil {
+			return nil, err
+		}
 		for u := 0; u < msgs; u++ {
 			m := fmt.Sprintf("dealerless %s %02d", tag, u)
 			want[m] = true
-			if err := n.SubmitMessage(u, []byte(m)); err != nil {
-				return err
+			if err := r.Submit(u, []byte(m)); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return r.Mix(ctx)
 	}
 	parity := func(res *atom.Result) error {
 		if len(res.Messages) != msgs {
@@ -148,10 +155,7 @@ func runDKGDemo(churn, workers int) error {
 		}
 		return nil
 	}
-	if err := submit(n, "r1"); err != nil {
-		return err
-	}
-	res, err := n.Run()
+	res, err := round(n, "r1")
 	if err != nil {
 		return fmt.Errorf("first dealerless round: %w", err)
 	}
@@ -179,10 +183,7 @@ func runDKGDemo(churn, workers int) error {
 	if members := n.Deployment().GroupMembers(0); members[1] != 99 {
 		return fmt.Errorf("resharing did not seat the replacement: roster %v", members)
 	}
-	if err := submit(n, "r2"); err != nil {
-		return err
-	}
-	if res, err = n.Run(); err != nil {
+	if res, err = round(n, "r2"); err != nil {
 		return fmt.Errorf("post-epoch round: %w", err)
 	}
 	if err := parity(res); err != nil {

@@ -1,20 +1,22 @@
 // Package daemon serves an Atom deployment over TCP: remote clients
-// fetch the round's public keys, perform all cryptography locally
-// (padding, onion encryption, NIZKs, traps), and ship opaque wire
-// submissions; an operator opens rounds, triggers mixing and reads
-// anonymized results. cmd/atomd and cmd/atomclient are thin wrappers
-// around this package.
+// fetch the deployment's public keys and the open round, perform all
+// cryptography locally (padding, onion encryption, NIZKs, traps), ship
+// opaque wire submissions, and read each round's anonymized results.
+// The rounds themselves are run by a continuous atom.Service
+// (EnableService), which opens, seals and mixes them on its own
+// schedule. cmd/atomd and cmd/atomclient are thin wrappers around this
+// package.
 //
 // The daemon speaks two surfaces, both in one binary codec (wire.go).
-// The control plane is request/reply over transport.TCPNode: Info for
-// the deployment's keys, OpenRound/SubmitRound/Mix for explicit,
-// pipelined rounds — a client opens round r+1 and submits into it while
-// round r still mixes — and Await for a continuous service's published
-// rounds. Every client method takes a context.Context whose deadline
+// Submissions ride the multiplexed fast path (fastpath.go, FastClient):
+// ServeInfo names the open round and its trustee key, Submit pipelines
+// wire submissions into it and acks each one. The control plane is
+// request/reply over transport.TCPNode: Info for the deployment's keys
+// and the fast path's address, and Await for a round's published
+// messages. Every client method takes a context.Context whose deadline
 // bounds the round trip, so a dead server fails the call instead of
-// hanging it. Submissions into the continuous service ride the
-// multiplexed fast path instead (fastpath.go, FastClient). Both
-// surfaces rebuild the atom error taxonomy on the client.
+// hanging it. Both surfaces rebuild the atom error taxonomy on the
+// client.
 //
 // The daemon hosts the full multi-group deployment in one process —
 // the configuration the paper's single-machine experiments use. The
@@ -40,11 +42,8 @@ import (
 // request's with "-reply" appended. Await is active only after
 // EnableService.
 const (
-	msgInfo   = "info"
-	msgOpen   = "open"
-	msgSubmit = "submit-round"
-	msgMix    = "mix"
-	msgAwait  = "await"
+	msgInfo  = "info"
+	msgAwait = "await"
 )
 
 // Info describes a deployment to clients.
@@ -58,9 +57,11 @@ type Info struct {
 	SubmitAddr string
 }
 
-// RoundInfo describes one opened round.
+// RoundInfo describes the continuous service's open round, as the fast
+// path's ServeInfo reports it.
 type RoundInfo struct {
-	// ID is the server-assigned round id, passed to SubmitRound/Mix.
+	// ID is the server-assigned round id, passed to FastClient.Submit
+	// and Await.
 	ID uint64
 	// TrusteeKey is the round's trustee public key (trap variant only);
 	// submissions into this round must be encrypted against it.
@@ -177,9 +178,6 @@ type Server struct {
 	network *atom.Network
 	cfg     atom.Config
 
-	mu     sync.Mutex
-	rounds map[uint64]*atom.Round
-
 	// svc, when non-nil, is the continuous ingestion-and-mixing
 	// pipeline that fast-path submissions and Await target.
 	svc atomic.Pointer[atom.Service]
@@ -188,8 +186,8 @@ type Server struct {
 	// (see EnableFastPath).
 	fast *fastPath
 
-	mixes sync.WaitGroup
-	done  chan struct{}
+	awaits sync.WaitGroup
+	done   chan struct{}
 }
 
 // NewServer builds the deployment and starts listening on addr
@@ -214,7 +212,6 @@ func NewServerWith(addr string, cfg atom.Config, network *atom.Network) (*Server
 		node:    node,
 		network: network,
 		cfg:     cfg,
-		rounds:  make(map[uint64]*atom.Round),
 		done:    make(chan struct{}),
 	}, nil
 }
@@ -243,8 +240,8 @@ func (s *Server) EnableService(ctx context.Context, opts atom.ServeOptions) erro
 func (s *Server) Service() *atom.Service { return s.svc.Load() }
 
 // Serve processes requests until Close. It is safe to run in a
-// goroutine. Mix and await requests run asynchronously so the daemon
-// keeps serving submissions into other rounds while one round mixes.
+// goroutine. Await requests run asynchronously so the daemon keeps
+// answering other requests while a client waits for a round.
 func (s *Server) Serve() {
 	for msg := range s.node.Inbox() {
 		body, async, err := s.handle(msg)
@@ -252,14 +249,14 @@ func (s *Server) Serve() {
 			s.reply(msg, body, err)
 			continue
 		}
-		s.mixes.Add(1)
+		s.awaits.Add(1)
 		go func() {
-			defer s.mixes.Done()
+			defer s.awaits.Done()
 			body, err := async()
 			s.reply(msg, body, err)
 		}()
 	}
-	s.mixes.Wait()
+	s.awaits.Wait()
 	close(s.done)
 }
 
@@ -276,7 +273,7 @@ func (s *Server) reply(req *transport.Message, body []byte, err error) {
 }
 
 // handle services one request, returning the reply body or error. A
-// long request (mix, await) instead returns async, which Serve runs off
+// long request (await) instead returns async, which Serve runs off
 // the inbox loop for the reply.
 func (s *Server) handle(msg *transport.Message) (body []byte, async func() ([]byte, error), err error) {
 	switch msg.Type {
@@ -296,62 +293,15 @@ func (s *Server) handle(msg *transport.Message) (body []byte, async func() ([]by
 		}
 		return info.marshal(), nil, nil
 
-	case msgOpen:
-		round, err := s.network.OpenRound(context.Background())
-		if err != nil {
-			return nil, nil, err
-		}
-		ri := &RoundInfo{ID: round.ID()}
-		if s.cfg.Variant == atom.Trap {
-			if ri.TrusteeKey, err = round.TrusteeKey(); err != nil {
-				return nil, nil, err
-			}
-		}
-		s.mu.Lock()
-		s.rounds[round.ID()] = round
-		s.mu.Unlock()
-		return appendRoundInfo(nil, ri), nil, nil
-
-	case msgSubmit:
-		r := wireReader{b: msg.Payload}
-		rid, user := r.uvarint(), r.uvarint()
-		if r.bad {
-			return nil, nil, fmt.Errorf("daemon: short submit payload")
-		}
-		round, err := s.round(rid)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, round.SubmitEncoded(int(user), r.b)
-
-	case msgMix:
-		rid, err := roundArg(msg)
-		if err != nil {
-			return nil, nil, err
-		}
-		round, err := s.round(rid)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, func() ([]byte, error) {
-			res, err := round.Mix(context.Background())
-			s.mu.Lock()
-			delete(s.rounds, rid)
-			s.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return appendMessages(nil, res.Messages), nil
-		}, nil
-
 	case msgAwait:
 		svc := s.svc.Load()
 		if svc == nil {
 			return nil, nil, fmt.Errorf("daemon: not serving (no continuous service)")
 		}
-		rid, err := roundArg(msg)
-		if err != nil {
-			return nil, nil, err
+		r := wireReader{b: msg.Payload}
+		rid := r.uvarint()
+		if !r.done() {
+			return nil, nil, fmt.Errorf("daemon: malformed await payload")
 		}
 		return nil, func() ([]byte, error) {
 			// The park is bounded server-side: a bogus or long-gone
@@ -374,31 +324,9 @@ func (s *Server) handle(msg *transport.Message) (body []byte, async func() ([]by
 	}
 }
 
-// roundArg decodes the payload of a request naming one round.
-func roundArg(msg *transport.Message) (uint64, error) {
-	r := wireReader{b: msg.Payload}
-	if rid := r.uvarint(); r.done() {
-		return rid, nil
-	}
-	return 0, fmt.Errorf("daemon: malformed %s payload", msg.Type)
-}
-
-func (s *Server) round(id uint64) (*atom.Round, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	round, ok := s.rounds[id]
-	if !ok {
-		// Matches the local taxonomy: a consumed or unknown round is
-		// closed to further operations.
-		return nil, fmt.Errorf("%w: no open round %d", atom.ErrRoundClosed, id)
-	}
-	return round, nil
-}
-
 // Close shuts the daemon down: the fast path stops accepting (its
 // queued submissions flush), the continuous service (if enabled) drains
-// gracefully, then the endpoint closes and in-flight mixes and awaits
-// finish.
+// gracefully, then the endpoint closes and in-flight awaits finish.
 func (s *Server) Close() error {
 	if s.fast != nil {
 		s.fast.close()
@@ -413,8 +341,8 @@ func (s *Server) Close() error {
 
 // Client talks to a daemon. Each client owns its own TCP endpoint (the
 // reply channel) and demultiplexes replies by request sequence number,
-// so its methods are safe for concurrent use — submissions into round
-// r+1 can be in flight while a Mix of round r is outstanding.
+// so its methods are safe for concurrent use — an Info can be answered
+// while an Await is outstanding.
 type Client struct {
 	node   *transport.TCPNode
 	server string
@@ -535,50 +463,11 @@ func (c *Client) Info(ctx context.Context) (*Info, error) {
 	return unmarshalInfo(body)
 }
 
-// OpenRound opens a new round on the daemon, returning its id and (in
-// the trap variant) the round's trustee key. The round accepts
-// submissions immediately — including while an earlier round mixes.
-func (c *Client) OpenRound(ctx context.Context) (*RoundInfo, error) {
-	body, err := c.roundTrip(ctx, &transport.Message{Type: msgOpen})
-	if err != nil {
-		return nil, err
-	}
-	r := wireReader{b: body}
-	ri := r.roundInfo()
-	if !r.done() {
-		return nil, fmt.Errorf("daemon: malformed open reply")
-	}
-	return ri, nil
-}
-
-// SubmitRound ships a wire-encoded submission into a specific open
-// round. Safe for concurrent use.
-func (c *Client) SubmitRound(ctx context.Context, round uint64, user int, wire []byte) error {
-	payload := binary.AppendUvarint(nil, round)
-	payload = binary.AppendUvarint(payload, uint64(user))
-	_, err := c.roundTrip(ctx, &transport.Message{Type: msgSubmit, Payload: append(payload, wire...)})
-	return err
-}
-
-// Mix seals and mixes the given round on the daemon, returning the
-// anonymized messages. The server mixes asynchronously: other client
-// calls (Info, OpenRound, SubmitRound into later rounds) proceed while
-// a Mix is outstanding.
-func (c *Client) Mix(ctx context.Context, round uint64) ([][]byte, error) {
-	return c.messages(ctx, msgMix, round)
-}
-
 // Await blocks until the continuous service publishes the given round,
 // returning its anonymized messages (or its typed failure). The wait is
 // bounded by ctx (or the client's default timeout).
 func (c *Client) Await(ctx context.Context, round uint64) ([][]byte, error) {
-	return c.messages(ctx, msgAwait, round)
-}
-
-// messages runs a request naming one round whose reply is the round's
-// message list.
-func (c *Client) messages(ctx context.Context, typ string, round uint64) ([][]byte, error) {
-	body, err := c.roundTrip(ctx, &transport.Message{Type: typ, Payload: binary.AppendUvarint(nil, round)})
+	body, err := c.roundTrip(ctx, &transport.Message{Type: msgAwait, Payload: binary.AppendUvarint(nil, round)})
 	if err != nil {
 		return nil, err
 	}

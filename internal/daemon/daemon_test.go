@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"atom"
+	"atom/internal/elgamal"
+	"atom/internal/protocol"
 )
 
 func startServer(t *testing.T, variant atom.Variant) (*Server, atom.Config) {
@@ -32,46 +35,59 @@ func startServer(t *testing.T, variant atom.Variant) (*Server, atom.Config) {
 	return srv, cfg
 }
 
-// submitAll encrypts msgs for users 0.. into an explicitly opened round
-// over the control plane.
-func submitAll(t *testing.T, cli *Client, ac *atom.Client, info *Info, ri *RoundInfo, msgs []string) {
+// submitRound encrypts msgs for users 0.. against the service's open
+// round, pipelines them over the fast path pinned to that round, and
+// returns the round's id.
+func submitRound(t *testing.T, fast *FastClient, ac *atom.Client, info *Info, msgs []string) uint64 {
 	t.Helper()
+	ri, err := fast.ServeInfo(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for u, m := range msgs {
 		gid := u % info.Groups
 		wire, err := ac.EncryptSubmission([]byte(m), info.EntryKeys[gid], ri.TrusteeKey, gid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.SubmitRound(t.Context(), ri.ID, u, wire); err != nil {
-			t.Fatal(err)
+		if _, err := submitFast(t, fast, ri.ID, u, wire); err != nil {
+			t.Fatalf("user %d into round %d: %v", u, ri.ID, err)
 		}
 	}
+	return ri.ID
 }
 
-func TestDaemonEndToEndNIZK(t *testing.T) {
-	srv, cfg := startServer(t, atom.NIZK)
+// dialServe starts a continuous daemon that seals each round once it
+// holds batch submissions, and dials both of its surfaces.
+func dialServe(t *testing.T, variant atom.Variant, batch int) (*Server, *Client, *FastClient, *Info, *atom.Client) {
+	t.Helper()
+	srv, cfg := startServeServer(t, variant, atom.ServeOptions{RoundInterval: time.Hour, MaxBatch: batch})
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-
+	t.Cleanup(func() { cli.Close() })
+	fast := startFast(t, srv)
 	info, err := cli.Info(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Groups != 4 || info.MessageSize != 32 || info.Trap {
-		t.Fatalf("unexpected info %+v", info)
-	}
-	if len(info.EntryKeys) != 4 {
-		t.Fatalf("%d entry keys", len(info.EntryKeys))
-	}
-
 	ac, err := atom.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := cli.OpenRound(t.Context())
+	return srv, cli, fast, info, ac
+}
+
+func TestDaemonEndToEndNIZK(t *testing.T) {
+	_, cli, fast, info, ac := dialServe(t, atom.NIZK, 8)
+	if info.Groups != 4 || info.MessageSize != 32 || info.Trap {
+		t.Fatalf("unexpected info %+v", info)
+	}
+	if len(info.EntryKeys) != 4 || info.SubmitAddr == "" {
+		t.Fatalf("%d entry keys, fast path %q", len(info.EntryKeys), info.SubmitAddr)
+	}
+	ri, err := fast.ServeInfo(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +101,7 @@ func TestDaemonEndToEndNIZK(t *testing.T) {
 		want[msg] = true
 		sent = append(sent, msg)
 	}
-	submitAll(t, cli, ac, info, ri, sent)
-	msgs, err := cli.Mix(t.Context(), ri.ID)
+	msgs, err := cli.Await(t.Context(), submitRound(t, fast, ac, info, sent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,37 +116,22 @@ func TestDaemonEndToEndNIZK(t *testing.T) {
 }
 
 func TestDaemonEndToEndTrap(t *testing.T) {
-	srv, cfg := startServer(t, atom.Trap)
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	info, err := cli.Info(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, cli, fast, info, ac := dialServe(t, atom.Trap, 8)
 	if !info.Trap {
 		t.Fatalf("trap deployment not advertised: %+v", info)
 	}
-	ri, err := cli.OpenRound(t.Context())
+	ri, err := fast.ServeInfo(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ri.TrusteeKey) == 0 {
-		t.Fatal("trap round opened without a trustee key")
-	}
-	ac, err := atom.NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatal("trap round advertised without a trustee key")
 	}
 	var sent []string
 	for u := 0; u < 8; u++ {
 		sent = append(sent, fmt.Sprintf("trap wire %d", u))
 	}
-	submitAll(t, cli, ac, info, ri, sent)
-	msgs, err := cli.Mix(t.Context(), ri.ID)
+	msgs, err := cli.Await(t.Context(), submitRound(t, fast, ac, info, sent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,53 +141,30 @@ func TestDaemonEndToEndTrap(t *testing.T) {
 }
 
 func TestDaemonRejectsGarbageSubmission(t *testing.T) {
-	srv, cfg := startServer(t, atom.NIZK)
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	ri, err := cli.OpenRound(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.SubmitRound(t.Context(), ri.ID, 0, []byte("not a submission")); err == nil {
+	_, _, fast, info, ac := dialServe(t, atom.NIZK, 64)
+	if _, err := submitFast(t, fast, 0, 0, []byte("not a submission")); err == nil {
 		t.Fatal("garbage submission accepted")
 	}
 	// Replay rejection over the wire.
-	info, err := cli.Info(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ac, _ := atom.NewClient(cfg)
 	wire, err := ac.EncryptSubmission([]byte("once"), info.EntryKeys[0], nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.SubmitRound(t.Context(), ri.ID, 1, wire); err != nil {
+	if _, err := submitFast(t, fast, 0, 1, wire); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.SubmitRound(t.Context(), ri.ID, 2, wire); err == nil {
+	if _, err := submitFast(t, fast, 0, 2, wire); err == nil {
 		t.Fatal("replayed submission accepted over the wire")
 	}
 }
 
 func TestDaemonMultipleRounds(t *testing.T) {
-	srv, cfg := startServer(t, atom.Trap)
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	info, err := cli.Info(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ac, _ := atom.NewClient(cfg)
+	_, cli, fast, info, ac := dialServe(t, atom.Trap, 4)
 	var prevKey []byte
 	for round := 0; round < 2; round++ {
-		// The trustee key rotates per round: each open hands out its own.
-		ri, err := cli.OpenRound(t.Context())
+		// The trustee key rotates per round: each round advertises its
+		// own.
+		ri, err := fast.ServeInfo(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +176,11 @@ func TestDaemonMultipleRounds(t *testing.T) {
 		for u := 0; u < 4; u++ {
 			sent = append(sent, fmt.Sprintf("r%d u%d", round, u))
 		}
-		submitAll(t, cli, ac, info, ri, sent)
-		msgs, err := cli.Mix(t.Context(), ri.ID)
+		rid := submitRound(t, fast, ac, info, sent)
+		if rid != ri.ID {
+			t.Fatalf("round %d: submissions landed in round %d, ServeInfo named %d", round, rid, ri.ID)
+		}
+		msgs, err := cli.Await(t.Context(), rid)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -212,75 +192,50 @@ func TestDaemonMultipleRounds(t *testing.T) {
 
 func TestDaemonPipelinedRounds(t *testing.T) {
 	// Round r+1 opens and ingests over the wire while round r mixes:
-	// the Mix RPC is asynchronous on the server and the client
-	// demultiplexes replies by request id.
-	srv, cfg := startServer(t, atom.Trap)
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	// the service opens the successor before it seals r, and the
+	// control plane answers Await asynchronously, demultiplexing
+	// replies by request id.
+	_, cli, fast, info, ac := dialServe(t, atom.Trap, 4)
+	r0 := submitRound(t, fast, ac, info, []string{"r0 u0", "r0 u1", "r0 u2", "r0 u3"})
 
-	info, err := cli.Info(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ac, err := atom.NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	submit := func(ri *RoundInfo, round, users int) {
-		t.Helper()
-		for u := 0; u < users; u++ {
-			gid := u % info.Groups
-			wire, err := ac.EncryptSubmission([]byte(fmt.Sprintf("r%d u%d", round, u)),
-				info.EntryKeys[gid], ri.TrusteeKey, gid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cli.SubmitRound(t.Context(), ri.ID, u, wire); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	r0, err := cli.OpenRound(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	submit(r0, 0, 4)
-
-	// Kick off the mix of round 0 concurrently…
+	// Await round 0 concurrently…
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var mix0 [][]byte
 	var mix0Err error
 	go func() {
 		defer wg.Done()
-		mix0, mix0Err = cli.Mix(t.Context(), r0.ID)
+		mix0, mix0Err = cli.Await(t.Context(), r0)
 	}()
 
-	// …and, without waiting, open round 1 and submit into it.
-	r1, err := cli.OpenRound(t.Context())
-	if err != nil {
-		t.Fatal(err)
+	// …and, without waiting, submit into its successor.
+	var r1 uint64
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		ri, err := fast.ServeInfo(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1 = ri.ID; r1 != r0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("round %d never sealed", r0)
+		}
 	}
-	if r1.ID == r0.ID {
-		t.Fatal("round ids must differ")
+	if got := submitRound(t, fast, ac, info, []string{"r1 u0", "r1 u1", "r1 u2", "r1 u3"}); got != r1 {
+		t.Fatalf("round 1 submissions landed in round %d, want %d", got, r1)
 	}
-	submit(r1, 1, 4)
 
 	wg.Wait()
 	if mix0Err != nil {
-		t.Fatalf("round 0 mix: %v", mix0Err)
+		t.Fatalf("round 0: %v", mix0Err)
 	}
 	if len(mix0) != 4 {
 		t.Fatalf("round 0 returned %d messages", len(mix0))
 	}
-	mix1, err := cli.Mix(t.Context(), r1.ID)
+	mix1, err := cli.Await(t.Context(), r1)
 	if err != nil {
-		t.Fatalf("round 1 mix: %v", err)
+		t.Fatalf("round 1: %v", err)
 	}
 	if len(mix1) != 4 {
 		t.Fatalf("round 1 returned %d messages", len(mix1))
@@ -290,27 +245,18 @@ func TestDaemonPipelinedRounds(t *testing.T) {
 			t.Fatalf("round 1 leaked message %q", m)
 		}
 	}
-	// Mixing a consumed round is an error.
-	if _, err := cli.Mix(t.Context(), r0.ID); err == nil {
-		t.Fatal("re-mixing a finished round succeeded")
+	// A sealed round takes no more submissions; the pin is checked
+	// before the bytes are decoded.
+	if _, err := submitFast(t, fast, r0, 9, []byte("late")); !errors.Is(err, atom.ErrRoundClosed) {
+		t.Fatalf("submission into finished round %d: %v, want ErrRoundClosed", r0, err)
 	}
 }
 
 // TestDaemonTypedErrorsOverWire checks both surfaces rebuild the
-// typed rejections: a control-plane SubmitRound reply and a fast-path
-// ack.
+// typed errors: a failed round's Await reply on the control plane and
+// fast-path acks.
 func TestDaemonTypedErrorsOverWire(t *testing.T) {
-	srv, cfg := startServeServer(t, atom.NIZK, atom.ServeOptions{RoundInterval: time.Hour})
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	info, err := cli.Info(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ac, _ := atom.NewClient(cfg)
+	srv, cli, fast, info, ac := dialServe(t, atom.NIZK, 2)
 	encrypt := func(msg string) []byte {
 		wire, err := ac.EncryptSubmission([]byte(msg), info.EntryKeys[0], nil, 0)
 		if err != nil {
@@ -320,28 +266,41 @@ func TestDaemonTypedErrorsOverWire(t *testing.T) {
 	}
 
 	t.Run("control-plane", func(t *testing.T) {
-		ri, err := cli.OpenRound(t.Context())
+		// A malicious member of entry group 0 swaps in a rerandomized
+		// copy of a ciphertext; its shuffle proof fails, and Await must
+		// rebuild the round's ErrProofRejected.
+		d := srv.Network().Deployment()
+		pk, err := d.GroupPK(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.SubmitRound(t.Context(), ri.ID, 0, []byte("garbage")); !errors.Is(err, atom.ErrBadSubmission) {
-			t.Fatalf("garbage submission: got %v, want ErrBadSubmission", err)
+		d.SetAdversary(&protocol.Adversary{
+			Layer: 0, GID: 0, Member: 0,
+			Tamper: func(batch []elgamal.Vector) []elgamal.Vector {
+				if len(batch) < 2 {
+					return nil
+				}
+				dup, _, err := elgamal.RerandomizeVector(pk, batch[0], rand.Reader)
+				if err != nil {
+					return nil
+				}
+				return append([]elgamal.Vector{batch[0], dup}, batch[2:]...)
+			},
+		})
+		var round uint64
+		for i, m := range []string{"tampered 0", "tampered 1"} {
+			r, err := submitFast(t, fast, 0, i, encrypt(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			round = r
 		}
-		wire := encrypt("dup")
-		if err := cli.SubmitRound(t.Context(), ri.ID, 1, wire); err != nil {
-			t.Fatal(err)
-		}
-		err = cli.SubmitRound(t.Context(), ri.ID, 2, wire)
-		if !errors.Is(err, atom.ErrDuplicateSubmission) || !errors.Is(err, atom.ErrBadSubmission) {
-			t.Fatalf("replay: got %v, want ErrDuplicateSubmission (and ErrBadSubmission)", err)
-		}
-		if err := cli.SubmitRound(t.Context(), ri.ID+1000, 3, wire); !errors.Is(err, atom.ErrRoundClosed) {
-			t.Fatalf("unknown round: got %v, want ErrRoundClosed", err)
+		if _, err := cli.Await(t.Context(), round); !errors.Is(err, atom.ErrProofRejected) {
+			t.Fatalf("await of a tampered round: got %v, want ErrProofRejected", err)
 		}
 	})
 
 	t.Run("fast-path", func(t *testing.T) {
-		fast := startFast(t, srv)
 		if _, err := submitFast(t, fast, 0, 0, []byte("garbage")); !errors.Is(err, atom.ErrBadSubmission) {
 			t.Fatalf("garbage submission: got %v, want ErrBadSubmission", err)
 		}

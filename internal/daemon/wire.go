@@ -117,8 +117,8 @@ func unmarshalInfo(b []byte) (*Info, error) {
 	return info, nil
 }
 
-// appendRoundInfo appends round ‖ len ‖ trustee key — the open reply
-// body, and the tail of the fast path's info-reply.
+// appendRoundInfo appends round ‖ len ‖ trustee key — the tail of the
+// fast path's info-reply.
 func appendRoundInfo(b []byte, ri *RoundInfo) []byte {
 	b = binary.AppendUvarint(b, ri.ID)
 	return appendBytes(b, ri.TrusteeKey)
@@ -132,8 +132,8 @@ func (r *wireReader) roundInfo() *RoundInfo {
 	return ri
 }
 
-// appendMessages appends count ‖ {len ‖ message}×count — the mix and
-// await reply body.
+// appendMessages appends count ‖ {len ‖ message}×count — the await
+// reply body.
 func appendMessages(b []byte, msgs [][]byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(msgs)))
 	for _, m := range msgs {

@@ -5,9 +5,7 @@
 package microblog
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"unicode/utf8"
 
 	"atom/internal/bulletin"
@@ -18,27 +16,21 @@ import (
 // messages in our evaluation" (§5).
 const MessageSize = 160
 
-// Service glues a protocol deployment to a bulletin board.
+// Service glues a protocol deployment's published rounds to a bulletin
+// board. Posts enter the mix-net like any other message (atom.Microblog
+// submits them into explicit rounds); the service validates them and
+// publishes each mixed round's batch.
 type Service struct {
-	deployment *protocol.Deployment
-	client     *protocol.Client
-	board      *bulletin.Board
-	round      uint64
-	posted     int
+	board *bulletin.Board
 }
 
 // NewService creates a microblogging service over an existing
 // deployment. The deployment's MessageSize must be MessageSize.
 func NewService(d *protocol.Deployment, board *bulletin.Board) (*Service, error) {
-	cfg := d.Config()
-	if cfg.MessageSize != MessageSize {
-		return nil, fmt.Errorf("microblog: deployment message size %d, want %d", cfg.MessageSize, MessageSize)
+	if size := d.Config().MessageSize; size != MessageSize {
+		return nil, fmt.Errorf("microblog: deployment message size %d, want %d", size, MessageSize)
 	}
-	client, err := protocol.NewClient(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Service{deployment: d, client: client, board: board}, nil
+	return &Service{board: board}, nil
 }
 
 // ValidatePost checks a post against the application's message rules:
@@ -53,76 +45,8 @@ func ValidatePost(text string) error {
 	return nil
 }
 
-// Post submits one microblog message for the given user into the
-// current round, choosing the entry group by user id (an untrusted
-// load balancer would do this in a deployment, §3).
-func (s *Service) Post(user int, text string, rnd io.Reader) error {
-	if err := ValidatePost(text); err != nil {
-		return err
-	}
-	gid := user % s.deployment.NumGroups()
-	pk, err := s.deployment.GroupPK(gid)
-	if err != nil {
-		return err
-	}
-	cfg := s.deployment.Config()
-	switch cfg.Variant {
-	case protocol.VariantNIZK:
-		sub, err := s.client.Submit([]byte(text), pk, gid, rnd)
-		if err != nil {
-			return err
-		}
-		if err := s.deployment.SubmitUser(user, sub); err != nil {
-			return err
-		}
-	case protocol.VariantTrap:
-		tpk, err := s.deployment.TrusteePK()
-		if err != nil {
-			return err
-		}
-		sub, err := s.client.SubmitTrap([]byte(text), pk, tpk, gid, rnd)
-		if err != nil {
-			return err
-		}
-		if err := s.deployment.SubmitTrapUser(user, sub); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("microblog: unknown variant %v", cfg.Variant)
-	}
-	s.posted++
-	return nil
-}
-
-// Posted returns the number of accepted posts for the current round.
-func (s *Service) Posted() int { return s.posted }
-
-// RunRound mixes the collected posts and publishes the anonymized batch
-// to the bulletin board, returning the published posts.
-func (s *Service) RunRound() ([]bulletin.Post, error) {
-	return s.RunRoundCtx(context.Background())
-}
-
-// RunRoundCtx is RunRound with cancellation/deadline propagation into
-// the mixing iterations.
-func (s *Service) RunRoundCtx(ctx context.Context) ([]bulletin.Post, error) {
-	res, err := s.deployment.RunRoundCtx(ctx, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	round := s.round
-	if err := s.board.Publish(round, res.Messages); err != nil {
-		return nil, err
-	}
-	s.round++
-	s.posted = 0
-	return s.board.Round(round), nil
-}
-
-// PublishResult records an externally mixed round's anonymized batch on
-// the board — the continuous-service path, where rounds are sealed and
-// mixed by a pipeline rather than by RunRound. round is the mix-net's
-// round id; the board keys posts by it.
+// PublishResult records a mixed round's anonymized batch on the board.
+// round is the mix-net's round id; the board keys posts by it.
 func (s *Service) PublishResult(round uint64, msgs [][]byte) ([]bulletin.Post, error) {
 	if err := s.board.Publish(round, msgs); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package microblog
 
 import (
+	"context"
 	"crypto/rand"
 	"strings"
 	"testing"
@@ -27,6 +28,60 @@ func testDeployment(t *testing.T, variant protocol.Variant) *protocol.Deployment
 	return d
 }
 
+// publishPosts submits every post as user u into a fresh round of d,
+// mixes it and publishes the batch through svc.
+func publishPosts(t *testing.T, d *protocol.Deployment, svc *Service, posts []string) []bulletin.Post {
+	t.Helper()
+	cfg := d.Config()
+	c, err := protocol.NewClient(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := d.OpenRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, p := range posts {
+		if err := ValidatePost(p); err != nil {
+			t.Fatal(err)
+		}
+		gid := u % d.NumGroups()
+		pk, _ := d.GroupPK(gid)
+		if cfg.Variant == protocol.VariantTrap {
+			tpk, _ := rs.TrusteePK()
+			sub, err := c.SubmitTrap([]byte(p), pk, tpk, gid, rand.Reader)
+			if err == nil {
+				err = rs.SubmitTrapUser(u, sub)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			sub, err := c.Submit([]byte(p), pk, gid, rand.Reader)
+			if err == nil {
+				err = rs.SubmitUser(u, sub)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res, err := d.RunRoundCtx(context.Background(), rs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published, err := svc.PublishResult(rs.ID(), res.Messages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range published {
+		if p.Round != rs.ID() {
+			t.Fatalf("post published under round %d, want %d", p.Round, rs.ID())
+		}
+	}
+	return published
+}
+
 func TestMicroblogRoundTrap(t *testing.T) {
 	d := testDeployment(t, protocol.VariantTrap)
 	svc, err := NewService(d, bulletin.NewBoard())
@@ -39,18 +94,7 @@ func TestMicroblogRoundTrap(t *testing.T) {
 		"whistleblowing works when nobody knows who blew",
 		"anonymous tip: check the harbor manifests",
 	}
-	for u, p := range posts {
-		if err := svc.Post(u, p, rand.Reader); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if svc.Posted() != len(posts) {
-		t.Fatalf("Posted = %d, want %d", svc.Posted(), len(posts))
-	}
-	published, err := svc.RunRound()
-	if err != nil {
-		t.Fatal(err)
-	}
+	published := publishPosts(t, d, svc, posts)
 	if len(published) != len(posts) {
 		t.Fatalf("published %d posts, want %d", len(published), len(posts))
 	}
@@ -63,8 +107,8 @@ func TestMicroblogRoundTrap(t *testing.T) {
 			t.Errorf("post %q missing from board", p)
 		}
 	}
-	if svc.Posted() != 0 {
-		t.Error("Posted counter not reset after round")
+	if svc.Board().Len() != len(posts) {
+		t.Errorf("board holds %d posts, want %d", svc.Board().Len(), len(posts))
 	}
 }
 
@@ -74,28 +118,23 @@ func TestMicroblogRoundNIZK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := 0; u < 4; u++ {
-		if err := svc.Post(u, "nizk-protected post", rand.Reader); err != nil {
-			t.Fatal(err)
-		}
+	posts := make([]string, 4)
+	for u := range posts {
+		posts[u] = "nizk-protected post"
 	}
-	published, err := svc.RunRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(published) != 4 {
+	if published := publishPosts(t, d, svc, posts); len(published) != 4 {
 		t.Fatalf("published %d posts, want 4", len(published))
 	}
 }
 
 func TestPostRejectsOversized(t *testing.T) {
-	d := testDeployment(t, protocol.VariantTrap)
-	svc, _ := NewService(d, bulletin.NewBoard())
-	long := strings.Repeat("x", MessageSize-1)
-	if err := svc.Post(0, long, rand.Reader); err == nil {
+	if err := ValidatePost(strings.Repeat("x", MessageSize-2)); err != nil {
+		t.Fatalf("post at the size limit rejected: %v", err)
+	}
+	if err := ValidatePost(strings.Repeat("x", MessageSize-1)); err == nil {
 		t.Fatal("oversized post accepted")
 	}
-	if err := svc.Post(0, string([]byte{0xff, 0xfe}), rand.Reader); err == nil {
+	if err := ValidatePost(string([]byte{0xff, 0xfe})); err == nil {
 		t.Fatal("invalid UTF-8 accepted")
 	}
 }

@@ -69,7 +69,7 @@ func (rs *RoundState) SubmitEncodedBatch(users []int, wires [][]byte) ([]error, 
 	// trap submission mixes a good ciphertext 0 with a structurally broken
 	// ciphertext 1 we fall back to serial verification of ciphertext 0 to
 	// report whichever failure the serial path hits first.
-	np := rs.d.cfg.NumPoints()
+	np := rs.numPoints
 	var pks []*ecc.Point
 	var vecs []elgamal.Vector
 	var gids []uint64

@@ -137,7 +137,8 @@ func TestBatchAdmissionMatchesSerialTrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpk, err := d.TrusteePK()
+	rs := openRound(t, d)
+	tpk, err := rs.TrusteePK()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +229,14 @@ func TestBatchAdmissionPlaintextParity(t *testing.T) {
 			}
 			users[u], wires[u] = u, sub.Encode()
 		}
-		errs, _ := d.CurrentRound().SubmitEncodedBatch(users, wires)
+		rs := openRound(t, d)
+		errs, _ := rs.SubmitEncodedBatch(users, wires)
 		for i, e := range errs {
 			if e != nil {
 				t.Fatalf("workers=%d: submission %d rejected: %v", workers, i, e)
 			}
 		}
-		res, err := d.RunRound()
+		res, err := runRound(rs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,9 +77,8 @@ type Deployment struct {
 	// overlapping ingestion with mixing, which needs no second mixer).
 	mixMu sync.Mutex
 
-	// mu guards cur, cfg.Variant and adversary.
+	// mu guards cfg.Variant, cfg.NumTrustees and adversary.
 	mu        sync.Mutex
-	cur       *RoundState
 	adversary *Adversary
 }
 
@@ -175,12 +174,6 @@ func newDeployment(cfg Config, s Setup) (*Deployment, error) {
 				}
 			}
 		}
-	}
-
-	// The implicit current round backs the one-round-at-a-time legacy
-	// API (SubmitUser/RunRound without an explicit RoundState).
-	if d.cur, err = d.OpenRound(); err != nil {
-		return nil, err
 	}
 	return d, nil
 }
@@ -309,25 +302,6 @@ func (d *Deployment) GroupPK(gid int) (*ecc.Point, error) {
 	return d.groups[gid].PK, nil
 }
 
-// currentRound returns the implicit round the legacy API operates on.
-func (d *Deployment) currentRound() *RoundState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cur
-}
-
-// CurrentRound exposes the implicit round behind the legacy
-// SubmitUser/RunRound surface, so callers can observe its id and
-// pending count or pass it to RunRoundCtx explicitly.
-func (d *Deployment) CurrentRound() *RoundState { return d.currentRound() }
-
-// TrusteePK returns the current round's trustee key (trap variant
-// only). Explicitly opened rounds carry their own key; see
-// RoundState.TrusteePK.
-func (d *Deployment) TrusteePK() (*ecc.Point, error) {
-	return d.currentRound().TrusteePK()
-}
-
 // SetAdversary installs a malicious-server hook for the next round.
 func (d *Deployment) SetAdversary(a *Adversary) {
 	d.mu.Lock()
@@ -340,17 +314,6 @@ func (d *Deployment) takeAdversary() *Adversary {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.adversary
-}
-
-// SubmitUser accepts a NIZK-variant submission into the current round.
-func (d *Deployment) SubmitUser(user int, sub *Submission) error {
-	return d.currentRound().SubmitUser(user, sub)
-}
-
-// SubmitTrapUser accepts a trap-variant submission into the current
-// round.
-func (d *Deployment) SubmitTrapUser(user int, sub *TrapSubmission) error {
-	return d.currentRound().SubmitTrapUser(user, sub)
 }
 
 func (d *Deployment) groupFor(gid int) (*GroupState, error) {
@@ -448,8 +411,8 @@ type MixOutcome struct {
 // process, direct calls) and the distributed cluster
 // (internal/distributed, member actors exchanging framed messages over
 // a transport). RunRoundVia accepts either, so ingestion, sealing, the
-// variant finale, blame records and round rotation are identical no
-// matter where the cryptography physically ran.
+// variant finale and blame records are identical no matter where the
+// cryptography physically ran.
 type Mixer interface {
 	MixRound(job *MixJob) (*MixOutcome, error)
 }
@@ -510,13 +473,10 @@ func (s *SealedRound) BatchSize() int {
 // SealRound closes rs to submissions and snapshots its batches — the
 // seal-at-deadline / seal-at-capacity step of the continuous service's
 // round scheduler, split out of RunRoundVia so sealing is driven by a
-// schedule while mixing is driven by the pipeline's free slots. A nil rs
-// seals the implicit current round. Sealing a round twice (or sealing a
-// round RunRoundVia already consumed) fails with ErrRoundClosed.
+// schedule while mixing is driven by the pipeline's free slots.
+// Sealing a round twice (or sealing a round RunRoundVia already
+// consumed) fails with ErrRoundClosed.
 func (d *Deployment) SealRound(rs *RoundState) (*SealedRound, error) {
-	if rs == nil {
-		rs = d.currentRound()
-	}
 	if !rs.mixing.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("%w: round %d already sealed", ErrRoundClosed, rs.id)
 	}
@@ -529,21 +489,14 @@ func (d *Deployment) SealRound(rs *RoundState) (*SealedRound, error) {
 	}, nil
 }
 
-// RunRound executes the current round in lock-step — the blocking
-// one-round-at-a-time legacy surface. On success a fresh current round
-// opens automatically; after an abort the round's records are kept for
-// the §4.6 blame procedure until ResetRound.
-func (d *Deployment) RunRound() (*RoundResult, error) {
-	return d.RunRoundCtx(context.Background(), nil, nil)
-}
-
 // RunRoundCtx executes a round's T mixing iterations across the whole
 // network plus the variant-specific finale, honoring ctx cancellation
-// and deadlines between (and within) iterations. A nil rs runs the
-// implicit current round. It returns an error wrapping ErrRoundAborted
-// when a defense trips, ErrProofRejected when a NIZK proof fails,
-// ErrRecoveryNeeded when a group is under threshold, and ctx.Err()
-// when canceled.
+// and deadlines between (and within) iterations. It returns an error
+// wrapping ErrRoundAborted when a defense trips, ErrProofRejected when
+// a NIZK proof fails, ErrRecoveryNeeded when a group is under
+// threshold, and ctx.Err() when canceled. After an abort the round's
+// entry records stay on rs for the §4.6 blame procedure
+// (RoundState.IdentifyMaliciousUsers).
 //
 // Only one round mixes at a time, but rounds opened with OpenRound keep
 // accepting submissions while this runs — the §4.7 pipelined
@@ -556,12 +509,9 @@ func (d *Deployment) RunRoundCtx(ctx context.Context, rs *RoundState, hooks *Rou
 // in-process mixer; a distributed.Cluster runs the same round as
 // message-passing actors over its transport. Everything around the
 // mixing — sealing, the variant-specific finale, blame records, the
-// one-shot adversary hook, current-round rotation — is shared, so the
-// two paths produce identical results and identical error taxonomies.
+// one-shot adversary hook — is shared, so the two paths produce
+// identical results and identical error taxonomies.
 func (d *Deployment) RunRoundVia(ctx context.Context, rs *RoundState, hooks *RoundHooks, mixer Mixer) (*RoundResult, error) {
-	if rs == nil {
-		rs = d.currentRound()
-	}
 	// A context that is already dead must not consume the round: the
 	// caller can retry Mix (or keep submitting) with a live one.
 	if err := ctx.Err(); err != nil {
@@ -575,13 +525,13 @@ func (d *Deployment) RunRoundVia(ctx context.Context, rs *RoundState, hooks *Rou
 }
 
 // MixSealed mixes a sealed round's batches and applies the variant
-// finale, blame records and current-round rotation — the back half of
-// RunRoundVia, callable later and (over a ConcurrentMixer) concurrently
-// with other rounds' mixes: the continuous service seals rounds on a
-// schedule and dispatches them here as pipeline slots free up. A nil
-// mixer selects the in-process mixer. The sealed batches are single-use;
-// a second MixSealed fails with ErrRoundClosed — except after a
-// dead-on-arrival context, which leaves the sealed round retryable.
+// finale and blame records — the back half of RunRoundVia, callable
+// later and (over a ConcurrentMixer) concurrently with other rounds'
+// mixes: the continuous service seals rounds on a schedule and
+// dispatches them here as pipeline slots free up. A nil mixer selects
+// the in-process mixer. The sealed batches are single-use; a second
+// MixSealed fails with ErrRoundClosed — except after a dead-on-arrival
+// context, which leaves the sealed round retryable.
 func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *RoundHooks, mixer Mixer) (*RoundResult, error) {
 	rs := sealed.rs
 	if !sealed.mixing.CompareAndSwap(false, true) {
@@ -636,19 +586,6 @@ func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *
 	res.Admitted = sealed.admitted
 	res.Rejected = sealed.rejected
 	res.SealedBatch = sealed.BatchSize()
-	// A finished current round rotates automatically so the legacy
-	// surface keeps its auto-reset semantics (and the trap variant
-	// its per-round trustee key).
-	d.mu.Lock()
-	if d.cur == rs {
-		next, oerr := d.openRoundLocked()
-		if oerr != nil {
-			d.mu.Unlock()
-			return nil, oerr
-		}
-		d.cur = next
-	}
-	d.mu.Unlock()
 	return res, nil
 }
 
@@ -791,50 +728,6 @@ func (d *Deployment) finishRound(rs *RoundState, exitPayloads map[int][][]byte) 
 	return res, nil
 }
 
-// openRoundLocked is OpenRound for callers already holding d.mu.
-func (d *Deployment) openRoundLocked() (*RoundState, error) {
-	variant := d.cfg.Variant
-	numTrustees := d.cfg.NumTrustees
-	rs := &RoundState{
-		id:      d.roundSeq.Add(1),
-		d:       d,
-		variant: variant,
-		mix:     d.cfg.Mix,
-		groups:  make([]roundGroup, len(d.groups)),
-	}
-	for i := range rs.shards {
-		rs.shards[i].seen = make(map[string]bool)
-	}
-	for i := range rs.groups {
-		rs.groups[i].commitments = make(map[string]int)
-	}
-	if variant == VariantTrap {
-		t, err := NewTrustees(numTrustees, d.rnd)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: rotating trustee key: %w", err)
-		}
-		rs.trustees = t
-	}
-	return rs, nil
-}
-
-// ResetRound discards the current round — its submissions, duplicate
-// filters, commitments and entry records — and opens a fresh one; in
-// the trap variant that generates a fresh trustee round key (§4.4: "the
-// group keys change across rounds"). Successful rounds reset
-// automatically; after an abort, call this once blame handling is done.
-func (d *Deployment) ResetRound() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	next, err := d.openRoundLocked()
-	if err != nil {
-		return err
-	}
-	d.cur = next
-	d.adversary = nil
-	return nil
-}
-
 // sortMessages orders messages lexicographically: the exit order is
 // already unlinkable to submission order, and a canonical order makes
 // results reproducible for bulletin publication.
@@ -853,23 +746,17 @@ func hashToGroup(payload []byte, G int) int {
 	return int(binary.BigEndian.Uint64(h.Sum(nil)[:8]) % uint64(G))
 }
 
-// SwitchVariant changes the active-attack defense for subsequent rounds
-// — the §4.6 escalation: "If the DoS attack is persistent after many
-// rounds, Atom can fall back to using NIZKs, effectively trading off
-// performance for availability." Switching opens a fresh current round
-// (pending submissions are encoding-incompatible across variants); a
-// switch back to the trap variant provisions fresh trustees. Rounds
-// opened before the switch keep the variant they were opened under.
-func (d *Deployment) SwitchVariant(v Variant) error {
+// SwitchVariant changes the active-attack defense for rounds opened
+// afterwards — the §4.6 escalation: "If the DoS attack is persistent
+// after many rounds, Atom can fall back to using NIZKs, effectively
+// trading off performance for availability." Rounds opened before the
+// switch keep the variant they were opened under; rounds opened under
+// the trap variant each get fresh trustees.
+func (d *Deployment) SwitchVariant(v Variant) {
 	d.mu.Lock()
-	if v == d.cfg.Variant {
-		d.mu.Unlock()
-		return nil
-	}
+	defer d.mu.Unlock()
 	d.cfg.Variant = v
 	if v == VariantTrap && d.cfg.NumTrustees < 1 {
 		d.cfg.NumTrustees = d.cfg.GroupSize
 	}
-	d.mu.Unlock()
-	return d.ResetRound()
 }

@@ -19,23 +19,24 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 6)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 6)
 
 	// The disruptive user submits a trap with a bogus commitment.
 	pk, _ := d.GroupPK(0)
-	tpk, _ := d.TrusteePK()
+	tpk, _ := rs.TrusteePK()
 	evil, err := c.SubmitTrap([]byte("dos"), pk, tpk, 0, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	evil.Commitment = TrapCommitment([]byte("lies"))
-	if err := d.SubmitTrapUser(666, evil); err != nil {
+	if err := rs.SubmitTrapUser(666, evil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RunRound(); err == nil {
+	if _, err := runRound(rs); err == nil {
 		t.Fatal("disrupted round succeeded")
 	}
-	report, err := d.IdentifyMaliciousUsers()
+	report, err := rs.IdentifyMaliciousUsers()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +45,7 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 	}
 
 	// Escalate: fall back to NIZKs (§4.6), blacklisting user 666.
-	if err := d.SwitchVariant(VariantNIZK); err != nil {
-		t.Fatal(err)
-	}
+	d.SwitchVariant(VariantNIZK)
 	nizkCfg := d.Config()
 	if nizkCfg.Variant != VariantNIZK {
 		t.Fatal("variant did not switch")
@@ -55,6 +54,7 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs = openRound(t, d)
 	want := map[string]bool{}
 	for u := 0; u < 8; u++ {
 		gid := u % cfg.NumGroups
@@ -65,17 +65,18 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.SubmitUser(u, sub); err != nil {
+		if err := rs.SubmitUser(u, sub); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := d.RunRound()
+	res, err := runRound(rs)
 	if err != nil {
 		t.Fatalf("NIZK fallback round failed: %v", err)
 	}
 	checkMessages(t, res, want)
 
 	// Under NIZKs, server tampering is caught proactively.
+	rs = openRound(t, d)
 	want2 := map[string]bool{}
 	for u := 0; u < 8; u++ {
 		gid := u % cfg.NumGroups
@@ -83,7 +84,7 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 		msg := []byte{byte('A' + u)}
 		want2[string(msg)] = true
 		sub, _ := nc.Submit(msg, gpk, gid, rand.Reader)
-		if err := d.SubmitUser(u, sub); err != nil {
+		if err := rs.SubmitUser(u, sub); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,21 +97,38 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 			return batch[:len(batch)-1]
 		},
 	})
-	if _, err := d.RunRound(); err == nil {
+	if _, err := runRound(rs); err == nil {
 		t.Fatal("NIZK fallback failed to catch tampering")
 	}
-	// The trustee-free reset path must also work.
-	if err := d.ResetRound(); err != nil {
-		t.Fatal(err)
-	}
-	// And switching back to traps provisions fresh trustees.
-	if err := d.SwitchVariant(VariantTrap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.TrusteePK(); err != nil {
+	// Switching back to traps provisions fresh trustees for the next
+	// round; a repeated switch is a no-op.
+	d.SwitchVariant(VariantTrap)
+	d.SwitchVariant(VariantTrap)
+	if _, err := openRound(t, d).TrusteePK(); err != nil {
 		t.Fatalf("no trustees after switching back: %v", err)
 	}
-	if err := d.SwitchVariant(VariantTrap); err != nil {
-		t.Fatal("no-op switch should succeed")
+}
+
+// TestSwitchVariantKeepsOpenRounds checks that a round opened before a
+// SwitchVariant keeps its variant: it still admits submissions shaped
+// for that variant and mixes them, while rounds opened afterwards use
+// the new one.
+func TestSwitchVariantKeepsOpenRounds(t *testing.T) {
+	cfg := testConfig(VariantTrap)
+	d, err := NewDeployment(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	c, _ := NewClient(&cfg)
+	trap := openRound(t, d)
+	d.SwitchVariant(VariantNIZK)
+	if next := openRound(t, d); next.Variant() != VariantNIZK {
+		t.Fatalf("round opened after the switch has variant %v", next.Variant())
+	}
+	want := submitAll(t, trap, c, 8)
+	res, err := runRound(trap)
+	if err != nil {
+		t.Fatalf("trap round opened before the switch: %v", err)
+	}
+	checkMessages(t, res, want)
 }

@@ -15,18 +15,23 @@ func TestTrapReportsCleanRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 
-	// Snapshot commitments before RunRound's auto-reset, by computing
-	// reports on synthetic exit payloads derived from a dry mixing pass:
-	// run the round but capture ExitOutputs from the result.
-	res, err := d.RunRound()
+	res, err := runRound(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// After the reset the commitment sets are empty, so recomputing
-	// reports over the same payloads must flag the now-unexpected traps.
-	reports := d.TrapReports(res.ExitOutputs)
+	// Against the mixed round's own commitment sets every group's traps
+	// check out.
+	for _, r := range rs.TrapReports(res.ExitOutputs) {
+		if !r.TrapsOK || !r.InnerOK {
+			t.Errorf("clean round: group %d report %+v", r.GID, r)
+		}
+	}
+	// A fresh round's commitment sets are empty, so the same payloads
+	// must flag the now-unexpected traps.
+	reports := openRound(t, d).TrapReports(res.ExitOutputs)
 	if len(reports) != cfg.NumGroups {
 		t.Fatalf("%d reports", len(reports))
 	}
@@ -37,7 +42,7 @@ func TestTrapReportsCleanRound(t *testing.T) {
 		}
 	}
 	if !sawViolation {
-		t.Error("post-reset TrapReports should flag unexpected traps (commitment sets were cleared)")
+		t.Error("a fresh round's TrapReports should flag unexpected traps (its commitment sets are empty)")
 	}
 }
 
@@ -50,12 +55,13 @@ func TestTrapReportsClassification(t *testing.T) {
 	c, _ := NewClient(&cfg)
 	// One submission so group 0 expects exactly one trap commitment.
 	pk, _ := d.GroupPK(0)
-	tpk, _ := d.TrusteePK()
+	rs := openRound(t, d)
+	tpk, _ := rs.TrusteePK()
 	sub, err := c.SubmitTrap([]byte("classified"), pk, tpk, 0, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SubmitTrapUser(0, sub); err != nil {
+	if err := rs.SubmitTrapUser(0, sub); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,17 +75,17 @@ func TestTrapReportsClassification(t *testing.T) {
 	inner[0] = kindMessage
 
 	// Case 1: missing trap → group 0 reports TrapsOK = false.
-	reports := d.TrapReports(map[int][][]byte{0: {inner}})
+	reports := rs.TrapReports(map[int][][]byte{0: {inner}})
 	if reports[0].TrapsOK {
 		t.Error("missing committed trap not reported")
 	}
 	// Case 2: unexpected trap (not matching the commitment).
-	reports = d.TrapReports(map[int][][]byte{0: {trap, inner}})
+	reports = rs.TrapReports(map[int][][]byte{0: {trap, inner}})
 	if reports[0].TrapsOK {
 		t.Error("unexpected trap accepted")
 	}
 	// Case 3: duplicate inner ciphertexts land at one checking group.
-	reports = d.TrapReports(map[int][][]byte{0: {inner, inner}})
+	reports = rs.TrapReports(map[int][][]byte{0: {inner, inner}})
 	ok := true
 	for _, r := range reports {
 		if !r.InnerOK {
@@ -119,6 +125,10 @@ func TestEndToEndQuickProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		rs, err := d.OpenRound()
+		if err != nil {
+			return false
+		}
 		users := 2 + int(seed%5)
 		want := map[string]int{}
 		for u := 0; u < users; u++ {
@@ -132,21 +142,21 @@ func TestEndToEndQuickProperty(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				if err := d.SubmitUser(u, sub); err != nil {
+				if err := rs.SubmitUser(u, sub); err != nil {
 					return false
 				}
 			case VariantTrap:
-				tpk, _ := d.TrusteePK()
+				tpk, _ := rs.TrusteePK()
 				sub, err := c.SubmitTrap(msg, pk, tpk, gid, rand.Reader)
 				if err != nil {
 					return false
 				}
-				if err := d.SubmitTrapUser(u, sub); err != nil {
+				if err := rs.SubmitTrapUser(u, sub); err != nil {
 					return false
 				}
 			}
 		}
-		res, err := d.RunRound()
+		res, err := runRound(rs)
 		if err != nil {
 			return false
 		}
@@ -173,8 +183,9 @@ func TestExitOutputsCoverAllGroups(t *testing.T) {
 	cfg := testConfig(VariantNIZK)
 	d, _ := NewDeployment(cfg)
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 16)
-	res, err := d.RunRound()
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 16)
+	res, err := runRound(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +210,8 @@ func TestTamperWithVectorStructure(t *testing.T) {
 	cfg := testConfig(VariantNIZK)
 	d, _ := NewDeployment(cfg)
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	d.SetAdversary(&Adversary{
 		Layer: 0, GID: 0, Member: 0,
 		Tamper: func(batch []elgamal.Vector) []elgamal.Vector {
@@ -212,7 +224,7 @@ func TestTamperWithVectorStructure(t *testing.T) {
 			return out
 		},
 	})
-	if _, err := d.RunRound(); err == nil {
+	if _, err := runRound(rs); err == nil {
 		t.Fatal("vector-shape tampering went undetected")
 	}
 }

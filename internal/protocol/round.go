@@ -47,6 +47,11 @@ type RoundState struct {
 	d       *Deployment
 	variant Variant
 
+	// numPoints is the curve-point count of one submission vector under
+	// the round's variant (Config.NumPoints), fixed at OpenRound so a
+	// later SwitchVariant cannot change what this round admits.
+	numPoints int
+
 	// trustees is the trap variant's per-round key authority (§4.4:
 	// "the group keys change across rounds").
 	trustees *Trustees
@@ -83,9 +88,29 @@ type RoundState struct {
 // accepts submissions immediately and independently of any other
 // round's lifecycle.
 func (d *Deployment) OpenRound() (*RoundState, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.openRoundLocked()
+	cfg := d.Config()
+	rs := &RoundState{
+		id:        d.roundSeq.Add(1),
+		d:         d,
+		variant:   cfg.Variant,
+		numPoints: cfg.NumPoints(),
+		mix:       cfg.Mix,
+		groups:    make([]roundGroup, len(d.groups)),
+	}
+	for i := range rs.shards {
+		rs.shards[i].seen = make(map[string]bool)
+	}
+	for i := range rs.groups {
+		rs.groups[i].commitments = make(map[string]int)
+	}
+	if cfg.Variant == VariantTrap {
+		t, err := NewTrustees(cfg.NumTrustees, d.rnd)
+		if err != nil {
+			return nil, fmt.Errorf("protocol: rotating trustee key: %w", err)
+		}
+		rs.trustees = t
+	}
+	return rs, nil
 }
 
 // ID returns the round's deployment-unique sequence number.
@@ -180,7 +205,7 @@ func (rs *RoundState) submitUser(user int, sub *Submission) error {
 		return err
 	}
 	// Proof verification is the hot path; it runs with no locks held.
-	if err := verifySubmissionVector(g.PK, sub.Ciphertext, sub.GID, sub.Proof, rs.d.cfg.NumPoints()); err != nil {
+	if err := verifySubmissionVector(g.PK, sub.Ciphertext, sub.GID, sub.Proof, rs.numPoints); err != nil {
 		return err
 	}
 	return rs.admitVerified(user, sub)
@@ -206,7 +231,7 @@ func (rs *RoundState) submitTrapUser(user int, sub *TrapSubmission) error {
 		return err
 	}
 	for i := 0; i < 2; i++ {
-		if err := verifySubmissionVector(g.PK, sub.Ciphertexts[i], sub.GID, sub.Proofs[i], rs.d.cfg.NumPoints()); err != nil {
+		if err := verifySubmissionVector(g.PK, sub.Ciphertexts[i], sub.GID, sub.Proofs[i], rs.numPoints); err != nil {
 			return fmt.Errorf("ciphertext %d: %w", i, err)
 		}
 	}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -44,15 +45,16 @@ func TestTrapDetectionProbability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rs := openRound(t, d)
 		for u := 0; u < 4; u++ {
 			gid := u % 2
 			pk, _ := d.GroupPK(gid)
-			tpk, _ := d.TrusteePK()
+			tpk, _ := rs.TrusteePK()
 			sub, err := c.SubmitTrap([]byte(fmt.Sprintf("m%d", u)), pk, tpk, gid, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.SubmitTrapUser(u, sub); err != nil {
+			if err := rs.SubmitTrapUser(u, sub); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,7 +82,7 @@ func TestTrapDetectionProbability(t *testing.T) {
 				return out
 			},
 		})
-		if _, err := d.RunRound(); err != nil {
+		if _, err := runRound(rs); err != nil {
 			aborts++
 		}
 	}
@@ -101,7 +103,8 @@ func TestSubmissionValidation(t *testing.T) {
 	}
 	c, _ := NewClient(&cfg)
 	pk, _ := d.GroupPK(0)
-	tpk, _ := d.TrusteePK()
+	rs := openRound(t, d)
+	tpk, _ := rs.TrusteePK()
 
 	good, err := c.SubmitTrap([]byte("valid"), pk, tpk, 0, rand.Reader)
 	if err != nil {
@@ -113,31 +116,31 @@ func TestSubmissionValidation(t *testing.T) {
 		// EncProof's gid binding must reject it.
 		bad := *good
 		bad.GID = 1
-		if err := d.SubmitTrapUser(1, &bad); err == nil {
+		if err := rs.SubmitTrapUser(1, &bad); err == nil {
 			t.Error("wrong-gid submission accepted")
 		}
 	})
 	t.Run("short-commitment", func(t *testing.T) {
 		bad := *good
 		bad.Commitment = []byte{1, 2, 3}
-		if err := d.SubmitTrapUser(2, &bad); err == nil {
+		if err := rs.SubmitTrapUser(2, &bad); err == nil {
 			t.Error("short commitment accepted")
 		}
 	})
 	t.Run("variant-mismatch", func(t *testing.T) {
-		if err := d.SubmitUser(3, &Submission{}); err == nil {
+		if err := rs.SubmitUser(3, &Submission{}); err == nil {
 			t.Error("NIZK submission accepted by trap deployment")
 		}
 	})
 	t.Run("bad-group-id", func(t *testing.T) {
 		bad := *good
 		bad.GID = 99
-		if err := d.SubmitTrapUser(4, &bad); err == nil {
+		if err := rs.SubmitTrapUser(4, &bad); err == nil {
 			t.Error("out-of-range group accepted")
 		}
 	})
 	t.Run("accept-then-duplicate-commitment", func(t *testing.T) {
-		if err := d.SubmitTrapUser(5, good); err != nil {
+		if err := rs.SubmitTrapUser(5, good); err != nil {
 			t.Fatalf("valid submission rejected: %v", err)
 		}
 		// A different user reusing the same commitment must be rejected
@@ -147,7 +150,7 @@ func TestSubmissionValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		other.Commitment = good.Commitment
-		if err := d.SubmitTrapUser(6, other); err == nil {
+		if err := rs.SubmitTrapUser(6, other); err == nil {
 			t.Error("duplicate trap commitment accepted")
 		}
 	})
@@ -166,10 +169,11 @@ func TestNIZKSubmissionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	rs := openRound(t, d)
 	t.Run("wrong-point-count", func(t *testing.T) {
 		bad := *sub
 		bad.Ciphertext = sub.Ciphertext[:1]
-		if err := d.SubmitUser(0, &bad); err == nil {
+		if err := rs.SubmitUser(0, &bad); err == nil {
 			t.Error("short vector accepted")
 		}
 	})
@@ -177,17 +181,17 @@ func TestNIZKSubmissionValidation(t *testing.T) {
 		bad := *sub
 		bad.Ciphertext = sub.Ciphertext.Clone()
 		bad.Ciphertext[0].Y = ecc.Generator()
-		if err := d.SubmitUser(0, &bad); err == nil {
+		if err := rs.SubmitUser(0, &bad); err == nil {
 			t.Error("Y ≠ ⊥ submission accepted")
 		}
 	})
 	t.Run("trap-on-nizk", func(t *testing.T) {
-		if err := d.SubmitTrapUser(0, &TrapSubmission{}); err == nil {
+		if err := rs.SubmitTrapUser(0, &TrapSubmission{}); err == nil {
 			t.Error("trap submission accepted by NIZK deployment")
 		}
 	})
 	t.Run("valid", func(t *testing.T) {
-		if err := d.SubmitUser(0, sub); err != nil {
+		if err := rs.SubmitUser(0, sub); err != nil {
 			t.Errorf("valid submission rejected: %v", err)
 		}
 	})
@@ -202,12 +206,19 @@ func TestMultiRoundOperation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
+	var prev *ecc.Point
 	for round := 0; round < 3; round++ {
 		want := map[string]bool{}
-		tpk, err := d.TrusteePK()
+		rs := openRound(t, d)
+		tpk, err := rs.TrusteePK()
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Every round gets its own trustee key.
+		if prev != nil && prev.Equal(tpk) {
+			t.Fatalf("round %d: trustee key did not rotate", round)
+		}
+		prev = tpk
 		for u := 0; u < 8; u++ {
 			gid := u % cfg.NumGroups
 			pk, _ := d.GroupPK(gid)
@@ -217,21 +228,15 @@ func TestMultiRoundOperation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.SubmitTrapUser(u, sub); err != nil {
+			if err := rs.SubmitTrapUser(u, sub); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, err := d.RunRound()
+		res, err := runRound(rs)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		checkMessages(t, res, want)
-
-		// The trustee key must have rotated.
-		tpk2, _ := d.TrusteePK()
-		if string(tpk.Bytes()) == string(tpk2.Bytes()) {
-			t.Fatalf("round %d: trustee key did not rotate", round)
-		}
 	}
 }
 
@@ -239,7 +244,8 @@ func TestResetRoundAfterAbort(t *testing.T) {
 	cfg := testConfig(VariantTrap)
 	d, _ := NewDeployment(cfg)
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	d.SetAdversary(&Adversary{
 		Layer: 0, GID: 0, Member: 0,
 		Tamper: func(batch []elgamal.Vector) []elgamal.Vector {
@@ -249,15 +255,16 @@ func TestResetRoundAfterAbort(t *testing.T) {
 			return batch[:len(batch)-1]
 		},
 	})
-	if _, err := d.RunRound(); err == nil {
+	if _, err := runRound(rs); err == nil {
 		t.Fatal("round should abort")
 	}
-	// Recovery path: reset and run a clean round.
-	if err := d.ResetRound(); err != nil {
-		t.Fatal(err)
+	// The aborted round stays closed; recovery is a fresh round.
+	if err := rs.SubmitTrapUser(0, &TrapSubmission{}); !errors.Is(err, ErrRoundClosed) {
+		t.Fatalf("submission into the aborted round: %v, want ErrRoundClosed", err)
 	}
-	want := submitAll(t, d, c, 8)
-	res, err := d.RunRound()
+	rs = openRound(t, d)
+	want := submitAll(t, rs, c, 8)
+	res, err := runRound(rs)
 	if err != nil {
 		t.Fatalf("post-reset round failed: %v", err)
 	}

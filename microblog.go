@@ -2,6 +2,7 @@ package atom
 
 import (
 	"context"
+	"sync"
 
 	"atom/internal/bulletin"
 	"atom/internal/microblog"
@@ -21,9 +22,16 @@ type Post struct {
 
 // Microblog is the anonymous microblogging application (§5): posts are
 // padded, onion-encrypted, mixed through the network, and the
-// anonymized batch is published to a bulletin board.
+// anonymized batch is published to a bulletin board. Post collects
+// posts in an explicit Round, opened by the first Post after a Publish;
+// Publish mixes and publishes that round, and the next Post opens its
+// replacement.
 type Microblog struct {
+	n   *Network
 	svc *microblog.Service
+
+	mu    sync.Mutex
+	round *Round // nil until the first Post after a Publish
 }
 
 // NewMicroblog attaches the microblogging application to a network
@@ -33,12 +41,28 @@ func NewMicroblog(n *Network) (*Microblog, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Microblog{svc: svc}, nil
+	return &Microblog{n: n, svc: svc}, nil
 }
 
-// Post submits one message for the given user into the current round.
+// Post submits one message for the given user into the round the next
+// Publish mixes. A Post that races a Publish either lands in the
+// published round or fails with ErrRoundClosed.
 func (m *Microblog) Post(user int, text string) error {
-	return wrapErr(m.svc.Post(user, text, entropy()))
+	if err := microblog.ValidatePost(text); err != nil {
+		return wrapErr(err)
+	}
+	m.mu.Lock()
+	if m.round == nil {
+		round, err := m.n.OpenRound(context.Background())
+		if err != nil {
+			m.mu.Unlock()
+			return err
+		}
+		m.round = round
+	}
+	round := m.round
+	m.mu.Unlock()
+	return round.Submit(user, []byte(text))
 }
 
 // PostOpen submits one message through a continuous Service, into
@@ -79,17 +103,26 @@ func (m *Microblog) Publish() ([]Post, error) {
 }
 
 // PublishCtx is Publish with cancellation/deadline propagation into the
-// mixing iterations; errors classify under the package taxonomy.
+// mixing iterations; errors classify under the package taxonomy. Later
+// posts go into a fresh round whether or not the mix succeeded; a
+// context that was already dead leaves the round and its posts in place
+// for a retry. With nothing posted it publishes nothing.
 func (m *Microblog) PublishCtx(ctx context.Context) ([]Post, error) {
-	posts, err := m.svc.RunRoundCtx(ctx)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(err)
 	}
-	out := make([]Post, len(posts))
-	for i, p := range posts {
-		out[i] = Post{Round: p.Round, Seq: p.Seq, Message: string(p.Message)}
+	m.mu.Lock()
+	round := m.round
+	m.round = nil
+	m.mu.Unlock()
+	if round == nil {
+		return nil, nil
 	}
-	return out, nil
+	res, err := round.Mix(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return m.PublishOutcome(&RoundOutcome{Round: round.ID(), Messages: res.Messages})
 }
 
 // Board returns every post published so far, across rounds.

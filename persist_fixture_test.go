@@ -68,16 +68,16 @@ func TestPR6StateFixtureGenerate(t *testing.T) {
 	if err := st.PutDeployment(n.MarshalState()); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := n.d.OpenRound()
+	rs, err := n.OpenRound(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for u, msg := range pr6FixtureMessages() {
-		if err := n.submitTo(rs, u, u%cfg.Groups, []byte(msg)); err != nil {
+		if err := rs.SubmitTo(u, u%cfg.Groups, []byte(msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sealed, err := n.d.SealRound(rs)
+	sealed, err := n.d.SealRound(rs.rs)
 	if err != nil {
 		t.Fatal(err)
 	}

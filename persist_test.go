@@ -37,7 +37,7 @@ func TestServiceResumesSealedRoundAfterCrash(t *testing.T) {
 
 	// Admit a batch and seal it — journaling the seal the way the
 	// service's scheduler does — then "crash" before anything mixes.
-	rs, err := n.d.OpenRound()
+	rs, err := n.OpenRound(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestServiceResumesSealedRoundAfterCrash(t *testing.T) {
 	for u := 0; u < users; u++ {
 		msg := fmt.Sprintf("crash-redispatch %02d", u)
 		want[msg] = true
-		if err := n.submitTo(rs, u, u%cfg.Groups, []byte(msg)); err != nil {
+		if err := rs.SubmitTo(u, u%cfg.Groups, []byte(msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sealed, err := n.d.SealRound(rs)
+	sealed, err := n.d.SealRound(rs.rs)
 	if err != nil {
 		t.Fatal(err)
 	}

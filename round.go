@@ -63,8 +63,31 @@ func (r *Round) Submit(user int, msg []byte) error {
 // SubmitTo is Submit with an explicit entry group. Safe for concurrent
 // use.
 func (r *Round) SubmitTo(user, gid int, msg []byte) error {
-	if err := r.n.submitTo(r.rs, user, gid, msg); err != nil {
-		return err
+	pk, err := r.n.d.GroupPK(gid)
+	if err != nil {
+		return wrapErr(err)
+	}
+	client := r.n.clients[r.rs.Variant()]
+	if r.rs.Variant() == protocol.VariantTrap {
+		tpk, err := r.rs.TrusteePK()
+		if err != nil {
+			return wrapErr(err)
+		}
+		sub, err := client.SubmitTrap(msg, pk, tpk, gid, entropy())
+		if err == nil {
+			err = r.rs.SubmitTrapUser(user, sub)
+		}
+		if err != nil {
+			return wrapErr(err)
+		}
+	} else {
+		sub, err := client.Submit(msg, pk, gid, entropy())
+		if err == nil {
+			err = r.rs.SubmitUser(user, sub)
+		}
+		if err != nil {
+			return wrapErr(err)
+		}
 	}
 	if obs := r.n.observer(); obs != nil && obs.SubmissionAccepted != nil {
 		obs.SubmissionAccepted(r.rs.ID(), user, gid)

@@ -27,6 +27,13 @@ for pkg in $(go list ./internal/... ./cmd/...); do
 	fi
 done
 
+# One architecture document: docs/ARCHITECTURE.md holds the paper map,
+# the round lifecycle and the subsystem internals.
+if [ -e ARCHITECTURE.md ]; then
+	echo "doccheck: ARCHITECTURE.md belongs in docs/ARCHITECTURE.md (one architecture document)" >&2
+	missing=1
+fi
+
 if [ "${missing}" -ne 0 ]; then
 	exit 1
 fi

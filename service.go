@@ -155,9 +155,8 @@ type Service struct {
 	// (nil when ServeOptions.Prewarm is 0). Sends coalesce: the channel
 	// holds one pending prediction and newer values replace it, so the
 	// single prewarm goroutine never backs up the admission path.
-	prewarmCh  chan int
-	vecsPerSub int     // sealed vectors per admitted submission (trap: 2)
-	ewma       float64 // scheduler-owned EWMA of sealed batch sizes
+	prewarmCh chan int
+	ewma      float64 // scheduler-owned EWMA of sealed batch sizes
 
 	// resMu guards the published-outcome history and its waiters.
 	resMu      sync.Mutex
@@ -262,10 +261,6 @@ func (n *Network) Serve(ctx context.Context, opts ServeOptions) (*Service, error
 		s.queue <- job // capacity reserved above; never blocks
 	}
 	if opts.Prewarm > 0 {
-		s.vecsPerSub = 1
-		if n.d.Config().Variant == protocol.VariantTrap {
-			s.vecsPerSub = 2
-		}
 		s.prewarmCh = make(chan int, 1)
 		s.wg.Add(1)
 		go s.prewarmLoop()
@@ -419,7 +414,11 @@ func (s *Service) account(r *Round) {
 		return
 	}
 	pending := r.Pending()
-	s.nudgePrewarm(pending * s.vecsPerSub)
+	vecsPerSub := 1 // sealed vectors per admitted submission
+	if r.rs.Variant() == protocol.VariantTrap {
+		vecsPerSub = 2
+	}
+	s.nudgePrewarm(pending * vecsPerSub)
 	if s.opts.MaxBatch <= 0 || pending < s.opts.MaxBatch {
 		return
 	}
@@ -444,7 +443,7 @@ func (s *Service) Current() (round uint64, trusteeKey []byte, err error) {
 	if r == nil {
 		return 0, nil, ErrServiceClosed
 	}
-	if s.n.d.Config().Variant == protocol.VariantTrap {
+	if r.rs.Variant() == protocol.VariantTrap {
 		if trusteeKey, err = r.TrusteeKey(); err != nil {
 			return 0, nil, err
 		}

@@ -700,3 +700,52 @@ func TestServicePrewarm(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceCurrentFollowsOpenRound checks that Current reports the
+// open round by that round's own variant: after a SwitchVariant the
+// round opened before the switch is still current and has no trustee
+// key, and its successor, opened under the new variant, has one.
+func TestServiceCurrentFollowsOpenRound(t *testing.T) {
+	n, err := NewNetwork(testNetworkConfig(NIZK, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	svc, err := n.Serve(ctx, ServeOptions{RoundInterval: time.Hour, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	n.SwitchVariant(Trap)
+
+	round, key, err := svc.Current()
+	if err != nil {
+		t.Fatalf("Current after SwitchVariant: %v", err)
+	}
+	if key != nil {
+		t.Fatal("the NIZK round opened before the switch reported a trustee key")
+	}
+	id, err := svc.Submit(0, []byte("nizk round"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != round {
+		t.Fatalf("submission landed in round %d, Current named %d", id, round)
+	}
+	out, err := svc.WaitRound(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Err != nil || len(out.Messages) != 1 {
+		t.Fatalf("round %d: err %v, %d messages", id, out.Err, len(out.Messages))
+	}
+	// The MaxBatch seal opened the successor under the trap variant.
+	next, key, err := svc.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == round || key == nil {
+		t.Fatalf("successor round %d (key %x): want a new trap round with a trustee key", next, key)
+	}
+}

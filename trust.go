@@ -58,12 +58,10 @@ func NewNetworkDKG(cfg Config, window time.Duration) (*Network, error) {
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	valid := d.Config()
-	client, err := protocol.NewClient(&valid)
+	n, err := newNetwork(d)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	n := &Network{d: d, client: client}
 	n.chain = chain
 	n.beaconKeys = keys
 	n.dkgWindow = window

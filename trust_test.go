@@ -2,7 +2,6 @@ package atom
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -36,15 +35,12 @@ func TestTrustCompleteEndToEnd(t *testing.T) {
 	if head, _ := n.BeaconChain().Head(); head != 1 {
 		t.Fatalf("beacon head = %d after setup, want 1", head)
 	}
+	msgs := numbered("dealerless msg %d", 6)
 	want := map[string]bool{}
-	for u := 0; u < 6; u++ {
-		msg := fmt.Sprintf("dealerless msg %d", u)
-		want[msg] = true
-		if err := n.SubmitMessage(u, []byte(msg)); err != nil {
-			t.Fatal(err)
-		}
+	for _, m := range msgs {
+		want[m] = true
 	}
-	res, err := n.Run()
+	res, err := submitAndMix(t, n, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +99,7 @@ func TestReshareRotatesOperator(t *testing.T) {
 	}
 	// The epoch is transparent to users: submissions encrypted to the
 	// (unchanged) entry keys still mix with the rotated membership.
-	for u := 0; u < 6; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("post-epoch %d", u))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := n.Run()
+	res, err := submitAndMix(t, n, numbered("post-epoch %d", 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,12 +233,7 @@ func TestTrustPersistResume(t *testing.T) {
 		t.Fatalf("resumed journal head = %d, want 6", resumed.MaxBeaconRound())
 	}
 	// The restored network still mixes (keys survived the store).
-	for u := 0; u < 4; u++ {
-		if err := n2.SubmitMessage(u, []byte(fmt.Sprintf("resumed %d", u))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := n2.Run()
+	res, err := submitAndMix(t, n2, numbered("resumed %d", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
